@@ -34,9 +34,8 @@ from .driver import (
     sparsest_cut,
 )
 from .errors import BalcutError
-from .estree import ESTree, es_build, es_delete_edge, es_path
+from .estree import ESTree
 from .expanders import (
-    ExpanderParams,
     compose_expanders,
     construct_expander,
     expander_sparsity_floor,
@@ -70,7 +69,7 @@ from .routing import (
     route_or_cut,
     single_ab_cut,
 )
-from .spectral import cheeger_floor, lambda2_normalized
+from .spectral import certified_floor, cheeger_floor, lambda2_normalized
 
 __version__ = "0.1.0"
 
@@ -84,7 +83,6 @@ __all__ = [
     "CutPlayerParams",
     "DecompositionResult",
     "ESTree",
-    "ExpanderParams",
     "FlowInstance",
     "MultiGraph",
     "NoBalancedSparseCutCertificate",
@@ -99,6 +97,7 @@ __all__ = [
     "ball_grow_cut",
     "bounded_push_relabel",
     "brute_force_extremum",
+    "certified_floor",
     "cheeger_floor",
     "cmg_drive",
     "compose_expanders",
@@ -106,9 +105,6 @@ __all__ = [
     "cut_or_certify",
     "cut_stats",
     "decompose_preflow",
-    "es_build",
-    "es_delete_edge",
-    "es_path",
     "expander_decomposition",
     "expander_prune",
     "expander_sparsity_floor",

@@ -72,8 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="balcut", description=__doc__)
     top.add_argument("--strict", action="store_true",
                      help="promote reported asymptotic bounds to hard assertions")
-    top.add_argument("--jobs", type=int, default=1,
-                     help="worker cap for independent subtasks (1 = sequential)")
     top.add_argument("--timings", action="store_true",
                      help="include wall-clock timings in reports")
     sub = top.add_subparsers(dest="command", required=True)
@@ -267,6 +265,7 @@ def _parse_deleted(path: str, g: MultiGraph) -> list[int]:
 def _cmd_prune(args) -> int:
     g = _open_graph(args.graph, args.allow_self_loops)
     deleted = _parse_deleted(args.deleted, g)
+    t0 = time.perf_counter()
     a, b = expander_prune(g, args.phi, deleted)
     dead = set(deleted)
     boundary = sum(
@@ -283,6 +282,8 @@ def _cmd_prune(args) -> int:
         "pruned_volume": g.volume(b),
         "volume_budget": Fraction(8 * len(deleted)) / args.phi,
     }
+    if args.timings:
+        report["timings"] = {"total_s": time.perf_counter() - t0}
     _emit(report, _labels_from_sides(g.n, a), args)
     return 0
 

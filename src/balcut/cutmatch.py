@@ -14,9 +14,10 @@ sparse cuts of the growing witness, a matcher answers with embedded perfect
 matchings (padding shortfalls with fake edges) until the cut player
 certifies or the matcher surfaces a cut of the host.
 
-Hidden constants from the analysis are surfaced in ``CutPlayerParams``;
-thresholds below one at desk scale are relaxed to max(1, .) and recorded in
-run reports rather than silently assumed.
+Hidden constants from the analysis are module constants (``C_CMG``,
+``C_BASE``, ``ELL_ATTEMPTS``) or ``CutPlayerParams`` fields; thresholds below
+one at desk scale are relaxed to max(1, .) and recorded in run reports
+rather than silently assumed.
 """
 
 from __future__ import annotations
@@ -45,30 +46,25 @@ from .expanders import (
 from .graph import (
     MultiGraph,
     ORACLE_LIMIT,
+    brute_force_extremum,
     connected_components,
     cut_edge_count,
     find_bridges,
-    graph_sparsity,
     induced_subgraph,
     path_congestion,
     subtree_side,
 )
 from .routing import PairFamily, PartialRouting, log2ceil, route_or_cut
-from .spectral import lambda2_normalized
+from .spectral import certified_floor, cheeger_floor
+
+C_CMG = 10         # round-cap multiplier of the game
+C_BASE = 4         # z-budget constant of the base case
+ELL_ATTEMPTS = 3   # adaptive path-length ladder retries
 
 
-def _fraction_floor(x: float) -> Fraction:
-    """Round a nonnegative float down to an exact fraction."""
-    return Fraction(max(int(x * (1 << 30)), 0), 1 << 30)
-
-
-def measured_sparsity_floor(g: MultiGraph) -> Fraction:
-    """Certified Psi(G) floor: brute force when small, Cheeger otherwise."""
-    if g.n < 2:
-        return Fraction(1)
-    if g.n <= ORACLE_LIMIT:
-        return graph_sparsity(g)
-    return _fraction_floor(lambda2_normalized(g) / 2.0)
+def _small_side(side, n):
+    """The side of a cut of range(n) holding at most half the vertices."""
+    return side if 2 * len(side) <= n else frozenset(range(n)) - side
 
 
 @dataclass(frozen=True)
@@ -84,14 +80,11 @@ class CutPlayerParams:
 
     r: int = 1
     n0: int = 16             # size floor for one recursion level
-    c_cmg: int = 10          # round-cap multiplier of the game
-    c_base: int = 4          # z-budget constant of the base case
-    ell_attempts: int = 3    # adaptive path-length ladder retries
     machinery_floor: int = 2048
     strict: bool = False     # promote reported bounds to hard assertions
 
     def __post_init__(self):
-        if self.r < 1 or self.n0 < 4 or self.c_cmg < 1 or self.c_base < 1:
+        if self.r < 1 or self.n0 < 4:
             raise InvalidInput("bad cut player parameters")
 
 
@@ -219,7 +212,7 @@ def cut_or_certify(
         raise InvalidInput("empty graph")
     if n <= 2:
         return CertifiedSubset(
-            frozenset(range(n)), measured_sparsity_floor(g), "trivial"
+            frozenset(range(n)), certified_floor(g, "sparsity"), "trivial"
         )
     quarter = -(-n // 4)
     budget = max(1, n // 100)
@@ -256,7 +249,7 @@ def cut_or_certify(
             # Stuck machinery on a connected remainder: certify it honestly
             # with its measured floor (exact below the oracle limit, Cheeger
             # above); the remainder holds > 3n/4 > n/2 vertices.
-            psi = measured_sparsity_floor(cur_g)
+            psi = certified_floor(cur_g, "sparsity")
             if psi <= 0:
                 raise InternalInvariantBroken(
                     "connected graph measured non-expanding at fallback"
@@ -309,10 +302,10 @@ def _expander_step(cur_g, params, budget_left, still_needed):
     # such pieces can ever be peeled; when even their union cannot reach the
     # still-needed quarter, certifying the remainder is the only outcome the
     # expensive machinery could produce, so report the Cheeger floor now.
-    lam = _fraction_floor(lambda2_normalized(cur_g))
-    if lam > 0 and budget_left >= 0:
-        if 2 * budget_left * budget_left < lam * still_needed:
-            return CertifiedSubset(frozenset(range(n)), lam / 2, "cheeger-gap")
+    half = cheeger_floor(cur_g)
+    if half > 0 and budget_left >= 0:
+        if budget_left * budget_left < half * still_needed:
+            return CertifiedSubset(frozenset(range(n)), half, "cheeger-gap")
     if budget_left >= 1:
         # The most balanced single-edge cut, found exactly.
         bridges = find_bridges(cur_g)
@@ -320,10 +313,7 @@ def _expander_step(cur_g, params, budget_left, still_needed):
             eid, child, size = max(
                 bridges, key=lambda t: (min(t[2], n - t[2]), -t[0])
             )
-            side = subtree_side(cur_g, eid, child)
-            if len(side) * 2 > n:
-                side = frozenset(range(n)) - side
-            return (side, 1)
+            return (_small_side(subtree_side(cur_g, eid, child), n), 1)
     if budget_left < 2 or n < params.machinery_floor:
         return None  # certify via the caller's measured fallback
     q_eff = 1
@@ -337,83 +327,47 @@ def _expander_step(cur_g, params, budget_left, still_needed):
 def _tiny_step(cur_g, budget_left):
     """Exact handling below the oracle limit: brute-force the dichotomy."""
     n = cur_g.n
-    if n <= ORACLE_LIMIT:
-        from .graph import brute_force_extremum
-
-        best, _ = brute_force_extremum(cur_g, "sparsity")
-        small = min(len(best.side), n - len(best.side))
-        if best.delta <= budget_left and small >= 1:
-            side = best.side if 2 * len(best.side) <= n else frozenset(range(n)) - best.side
-            return (side, best.delta)
-        psi_val = graph_sparsity(cur_g)
-        if psi_val > 0:
-            return CertifiedSubset(frozenset(range(n)), psi_val, "oracle")
-        return None
-    lam = measured_sparsity_floor(cur_g)
-    if lam > 0:
-        return CertifiedSubset(frozenset(range(n)), lam, "cheeger")
+    best, psi = brute_force_extremum(cur_g, "sparsity")
+    if best.delta <= budget_left:
+        return (_small_side(best.side, n), best.delta)
+    if psi > 0:
+        return CertifiedSubset(frozenset(range(n)), psi, "oracle")
     return None
 
 
-def _ell_ladder(n, params):
+def _ell_ladder(n):
     base = 2 * log2ceil(n) + 4
-    for attempt in range(params.ell_attempts):
+    for attempt in range(ELL_ATTEMPTS):
         yield min(max(base << attempt, 4), 4 * n)
 
 
 def _base_step(cur_g, params, budget_left):
     """Embed an explicit expander through the matching player, then extract."""
     n = cur_g.n
-    l2 = log2ceil(n)
-    z = max(1, -(-n // (params.c_base * l2 ** 5)))
+    z = max(1, -(-n // (C_BASE * log2ceil(n) ** 5)))
     h_exp = construct_expander(n)
     matchings = partition_into_matchings(h_exp)
     psi_star = expander_sparsity_floor(n)
-    for ell in _ell_ladder(n, params):
+    for ell in _ell_ladder(n):
         witness = Witness(cur_g, n)
-        failed = False
-        fakes = 0
         for m_ids in matchings:
-            fam_pairs = []
-            for eid in m_ids:
-                u, v = h_exp.edges[eid]
-                fam_pairs.append(([u], [v]))
-            fam = PairFamily.of(fam_pairs)
-            try:
-                res = route_or_cut(cur_g, fam, z, ell)
-            except DiagnosticFailure:
-                failed = True
+            edges = [h_exp.edges[eid] for eid in m_ids]
+            fam_pairs = [([u], [v]) for u, v in edges]
+            outcome = _routed_matchings(cur_g, fam_pairs, z, ell, budget_left)
+            if outcome is None:
                 break
-            if not isinstance(res, PartialRouting):
-                if res.delta <= budget_left:
-                    side = (
-                        res.side
-                        if 2 * len(res.side) <= n
-                        else frozenset(range(n)) - res.side
-                    )
-                    return (side, res.delta)
-                failed = True
-                break
-            path_of = dict(res.paths)
-            pairs = []
-            for (a_set, b_set), matched in zip(fam.pairs, res.matchings):
-                (a,) = a_set
-                (b,) = b_set
-                if matched:
-                    pairs.append(matched[0])
-                else:
-                    pairs.append((a, b))  # shortfall: fake edge
-                    fakes += 1
-            witness.add_round(pairs, path_of)
-        if failed:
-            continue
-        got = _try_extract(cur_g, witness, psi_star, params)
-        if got is not None:
-            return got
-        if fakes <= len(matchings) * z:
-            # The fake count is already at its floor; a longer ell cannot
-            # shrink it, so extraction will keep failing its budget.
-            return None
+            if outcome[0] == "cut":
+                return outcome[1]
+            per_family, path_of = outcome
+            witness.add_round([p for pairs in per_family for p in pairs], path_of)
+        else:
+            got = _try_extract(cur_g, witness, psi_star, params)
+            if got is not None:
+                return got
+            if len(witness.fake_edges) <= len(matchings) * z:
+                # The fake count is already at its floor; a longer ell cannot
+                # shrink it, so extraction will keep failing its budget.
+                return None
     return None
 
 
@@ -443,7 +397,7 @@ def _rec_step(cur_g, params, q, budget_left):
     extra = list(range(len(blocks) * nb, n))
     sub_params = replace(params, r=q - 1)
     z = 1  # minimal fake budget: maximal cut sensitivity at desk scale
-    for ell in _ell_ladder(n, params):
+    for ell in _ell_ladder(n):
         result = _rec_attempt(
             cur_g, params, sub_params, blocks, extra, z, ell, budget_left
         )
@@ -452,121 +406,107 @@ def _rec_step(cur_g, params, q, budget_left):
     return None
 
 
+class _AttemptOver(Exception):
+    """Ends a recursive attempt early; ``args[0]`` is its result."""
+
+
 def _rec_attempt(cur_g, params, sub_params, blocks, extra, z, ell, budget_left):
     n = cur_g.n
     nb = len(blocks[0])
     witness = Witness(cur_g, n)
     block_edges: list[list[tuple[int, int]]] = [[] for _ in blocks]
     certified: dict[int, tuple[frozenset[int], Fraction]] = {}
-    round_cap = params.c_cmg * log2ceil(nb) + 2
 
     def local_graph(bi):
         base = blocks[bi][0]
         return MultiGraph(nb, [(u - base, v - base) for u, v in block_edges[bi]])
 
-    for _ in range(round_cap):
-        active = [bi for bi in range(len(blocks)) if bi not in certified]
-        if not active:
-            break
-        fam_pairs = []
-        fam_owner = []
-        for bi in active:
-            sub = cut_or_certify(local_graph(bi), sub_params)
-            base = blocks[bi][0]
-            if isinstance(sub, CertifiedSubset):
-                certified[bi] = (
-                    frozenset(base + v for v in sub.side),
-                    sub.psi,
-                )
-                continue
-            a = sorted(base + v for v in sub.a_side)
-            b = sorted(base + v for v in sub.b_side)
-            if len(a) > len(b):
-                a, b = b, a
-            while len(a) < len(b):  # pad to equal halves, lowest ids first
-                a.append(b.pop(0))
-            fam_pairs.append((a, b))
-            fam_owner.append(bi)
-        if not fam_pairs:
-            continue
+    def play(fam_pairs):
+        """Route one round of families and record it in the witness; a
+        stuck matcher or an acceptable host cut ends the attempt."""
         outcome = _routed_matchings(cur_g, fam_pairs, z, ell, budget_left)
         if outcome is None:
-            return None
-        if isinstance(outcome, tuple) and outcome[0] == "cut":
-            return outcome[1]
+            raise _AttemptOver(None)
+        if outcome[0] == "cut":
+            raise _AttemptOver(outcome[1])
         per_family, path_of = outcome
-        for pairs, bi in zip(per_family, fam_owner):
-            block_edges[bi].extend(pairs)
+        for pairs in per_family:
             witness.add_round(pairs, path_of)
+        return per_family
 
-    if len(certified) < len(blocks):
-        return None
-
-    # Final per-block matching: attach the uncertified leftovers.
-    fam_pairs = []
-    owners = []
-    for bi in range(len(blocks)):
-        side, _ = certified[bi]
-        rest = sorted(set(blocks[bi]) - side)
-        if rest:
-            fam_pairs.append((rest, sorted(side)))
-            owners.append(bi)
-    if fam_pairs:
-        outcome = _routed_matchings(cur_g, fam_pairs, z, ell, budget_left)
-        if outcome is None:
-            return None
-        if isinstance(outcome, tuple) and outcome[0] == "cut":
-            return outcome[1]
-        per_family, path_of = outcome
-        for pairs, bi in zip(per_family, owners):
-            block_edges[bi].extend(pairs)
-            witness.add_round(pairs, path_of)
-
-    # Step 2: embed a core expander across the blocks.
-    core = construct_expander(len(blocks))
-    core_match: dict[int, list[tuple[int, int]]] = {}
-    if core.m:
-        for m_ids in partition_into_matchings(core):
+    try:
+        for _ in range(C_CMG * log2ceil(nb) + 2):
+            active = [bi for bi in range(len(blocks)) if bi not in certified]
+            if not active:
+                break
             fam_pairs = []
-            for eid in m_ids:
-                i, j = core.edges[eid]
-                fam_pairs.append((blocks[i], blocks[j]))
-            outcome = _routed_matchings(cur_g, fam_pairs, z, ell, budget_left)
-            if outcome is None:
-                return None
-            if isinstance(outcome, tuple) and outcome[0] == "cut":
-                return outcome[1]
-            per_family, path_of = outcome
-            for eid, pairs in zip(m_ids, per_family):
-                i, j = core.edges[eid]
-                bi, bj = blocks[i][0], blocks[j][0]
-                core_match[eid] = [(u - bi, v - bj) for u, v in pairs]
-                witness.add_round(pairs, path_of)
+            fam_owner = []
+            for bi in active:
+                sub = cut_or_certify(local_graph(bi), sub_params)
+                base = blocks[bi][0]
+                if isinstance(sub, CertifiedSubset):
+                    certified[bi] = (
+                        frozenset(base + v for v in sub.side),
+                        sub.psi,
+                    )
+                    continue
+                a = sorted(base + v for v in sub.a_side)
+                b = sorted(base + v for v in sub.b_side)
+                if len(a) > len(b):
+                    a, b = b, a
+                while len(a) < len(b):  # pad to equal halves, lowest ids first
+                    a.append(b.pop(0))
+                fam_pairs.append((a, b))
+                fam_owner.append(bi)
+            if fam_pairs:
+                for pairs, bi in zip(play(fam_pairs), fam_owner):
+                    block_edges[bi].extend(pairs)
 
-    # Extras: match the leftover tail into the blocks.
-    if extra:
-        rest = sorted(set(range(n)) - set(extra))
-        outcome = _routed_matchings(cur_g, [(extra, rest)], z, ell, budget_left)
-        if outcome is None:
+        if len(certified) < len(blocks):
             return None
-        if isinstance(outcome, tuple) and outcome[0] == "cut":
-            return outcome[1]
-        per_family, path_of = outcome
-        witness.add_round(per_family[0], path_of)
+
+        # Final per-block matching: attach the uncertified leftovers.
+        fam_pairs = []
+        owners = []
+        for bi in range(len(blocks)):
+            side, _ = certified[bi]
+            rest = sorted(set(blocks[bi]) - side)
+            if rest:
+                fam_pairs.append((rest, sorted(side)))
+                owners.append(bi)
+        if fam_pairs:
+            for pairs, bi in zip(play(fam_pairs), owners):
+                block_edges[bi].extend(pairs)
+
+        # Step 2: embed a core expander across the blocks.
+        core = construct_expander(len(blocks))
+        core_match: dict[int, list[tuple[int, int]]] = {}
+        if core.m:
+            for m_ids in partition_into_matchings(core):
+                fam_pairs = [(blocks[core.edges[eid][0]], blocks[core.edges[eid][1]])
+                             for eid in m_ids]
+                for eid, pairs in zip(m_ids, play(fam_pairs)):
+                    i, j = core.edges[eid]
+                    bi, bj = blocks[i][0], blocks[j][0]
+                    core_match[eid] = [(u - bi, v - bj) for u, v in pairs]
+
+        # Extras: match the leftover tail into the blocks.
+        if extra:
+            play([(extra, sorted(set(range(n)) - set(extra)))])
+    except _AttemptOver as over:
+        return over.args[0]
 
     # Step 3: compose and extract.
-    block_graphs = [local_graph(bi) for bi in range(len(blocks))]
-    composed, _ = compose_expanders(core, block_graphs, core_match)
+    # The composed graph itself is not needed, only its validation.
+    compose_expanders(core, [local_graph(bi) for bi in range(len(blocks))], core_match)
     psi_blocks = min(psi for _, psi in certified.values()) / 2
     psi_core = expander_sparsity_floor(len(blocks))
-    gamma = Fraction(1)
     delta_core = max(core.max_degree(), 1)
-    psi_comp = psi_blocks * psi_core / (16 * delta_core * gamma * gamma)
+    psi_comp = psi_blocks * psi_core / (16 * delta_core)
     if extra:
         psi_comp /= 2
     psi_comp = min(psi_comp, Fraction(1))
-    got = _try_extract(cur_g, witness, psi_comp, params)
-    return got
+    return _try_extract(cur_g, witness, psi_comp, params)
 
 
 def _routed_matchings(cur_g, fam_pairs, z, ell, budget_left):
@@ -575,7 +515,6 @@ def _routed_matchings(cur_g, fam_pairs, z, ell, budget_left):
     Returns ("cut", (side, delta)) when the matcher surfaces an acceptable
     host cut, (per_family_pairs, path_of) on success, None when stuck.
     """
-    n = cur_g.n
     try:
         fam = PairFamily.of(fam_pairs)
     except InvalidInput:
@@ -586,22 +525,15 @@ def _routed_matchings(cur_g, fam_pairs, z, ell, budget_left):
         return None
     if not isinstance(res, PartialRouting):
         if res.delta <= budget_left:
-            side = (
-                res.side if 2 * len(res.side) <= n else frozenset(range(n)) - res.side
-            )
-            return ("cut", (side, res.delta))
+            return ("cut", (_small_side(res.side, cur_g.n), res.delta))
         return None
-    path_of = dict(res.paths)
     per_family = []
     for (a_set, b_set), matched in zip(fam.pairs, res.matchings):
-        pairs = list(matched)
         left_a = sorted(a_set - {u for u, _ in matched})
         left_b = sorted(b_set - {v for _, v in matched})
         # pad the shortfall with fake pairs, lowest ids first
-        for u, v in zip(left_a, left_b):
-            pairs.append((u, v))
-        per_family.append(pairs)
-    return per_family, path_of
+        per_family.append(list(matched) + list(zip(left_a, left_b)))
+    return per_family, dict(res.paths)
 
 
 # ---------------------------------------------------------------------------

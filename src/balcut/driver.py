@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cutmatch import (
+    C_CMG,
     CutPlayerParams,
     GameResult,
     Witness,
@@ -43,26 +44,18 @@ from .localflow import PairRouting, route_or_cut_1pair
 from .pruning import expander_prune
 from .reduce import lift_cut, make_canonical, project_cut, reduce_degree
 from .routing import log2ceil
-from .spectral import lambda2_normalized
+from .spectral import certified_floor, cheeger_floor
 
 C_HAT = 4  # the "large constant" of the high-sparsity driver
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _fraction_floor(x: float) -> Fraction:
-    return Fraction(max(int(x * (1 << 30)), 0), 1 << 30)
-
-
-def certified_conductance_floor(g: MultiGraph) -> Fraction:
-    """Exact Phi(G) below the oracle limit, lambda2/2 above it."""
-    if g.n < 2:
-        return Fraction(1)
-    if g.n <= ORACLE_LIMIT:
-        return brute_force_extremum(g, "conductance")[1]
-    return _fraction_floor(lambda2_normalized(g) / 2.0)
+def _player_params(r: int, params: CutPlayerParams | None) -> CutPlayerParams:
+    """The cut player's parameters, which must agree with the driver's r."""
+    if params is None:
+        return CutPlayerParams(r=r)
+    if params.r != r:
+        raise ParamError(f"r={r} disagrees with the cut player's r={params.r}")
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +89,7 @@ def iterations_final_cut(
     """
     if g.n < 2:
         raise InvalidInput("the game needs at least two host vertices")
-    params = params or CutPlayerParams(r=r)
+    params = _player_params(r, params)
     psi = Fraction(psi)
     n = g.n
     n_eff = n + (n % 2)
@@ -130,7 +123,7 @@ def iterations_final_cut(
             matched[(a, b)] = None  # fake edge
         return matched
 
-    round_cap = max(2, math.ceil(params.c_cmg * math.log2(n_eff)))
+    round_cap = max(2, math.ceil(C_CMG * math.log2(n_eff)))
     outcome = cmg_drive(g, cut_player, matcher, round_cap)
     if isinstance(outcome, GameResult):
         witness = outcome.witness
@@ -211,7 +204,7 @@ def bal_cut_prune(
     g.reject_self_loops("bal_cut_prune")
     if g.m < 1:
         raise InvalidInput("bal_cut_prune needs at least one edge")
-    params = params or CutPlayerParams(r=r)
+    params = _player_params(r, params)
     vol = g.volume()
     report: dict = {"phi": str(phi), "r": r, "notes": []}
 
@@ -237,7 +230,7 @@ def bal_cut_prune(
                        strict=params.strict)
 
     # Fast path: the whole graph already certifies at phi.
-    cert = certified_conductance_floor(g)
+    cert = certified_floor(g, "conductance")
     if cert >= phi:
         report["notes"].append("input certified at phi without cutting")
         return BalCutPruneResult(
@@ -376,7 +369,7 @@ def _witness_case(g, red, members, wr: WitnessResult, acc, phi, report, params):
     if not a_orig:
         return None
     core, idx_core = induced_subgraph(g, a_orig)
-    cert = certified_conductance_floor(core)
+    cert = certified_floor(core, "conductance")
     if core.n <= ORACLE_LIMIT and cert < phi:
         # Desk-scale correction: the oracle found a sub-phi cut inside the
         # candidate core; peel its smaller-volume side (canonically) and
@@ -419,7 +412,7 @@ def _finish(g, a_side, b_side, phi, cert, report, *, strict=False):
             report.setdefault("notes", []).append(msg)
         if cert is None:
             core, _ = induced_subgraph(g, a_side)
-            cert = certified_conductance_floor(core)
+            cert = certified_floor(core, "conductance")
     alpha = (
         Fraction(cut_edges) / (phi * vol) if cut_edges else Fraction(0)
     )
@@ -497,7 +490,7 @@ def expander_decomposition(
         b = sorted(idx[v] for v in res.b_side)
         if not b:
             final.append(cluster)
-            certs.append(res.certified_phi or certified_conductance_floor(sub))
+            certs.append(res.certified_phi or certified_floor(sub, "conductance"))
             continue
         if res.branch == "pruned":
             final.append(a)
@@ -584,7 +577,7 @@ def sparse_cut_or_expander(
         return NoBalancedSparseCutCertificate(
             psi, psi_w / cong, 0, psi_w, cong, 0
         )
-    min_side = _ceil_frac(Fraction(2 * fakes) / psi_w) if psi_w > 0 else g.n
+    min_side = math.ceil(Fraction(2 * fakes) / psi_w) if psi_w > 0 else g.n
     return NoBalancedSparseCutCertificate(
         psi, psi_w / (2 * cong), min_side, psi_w, cong, fakes
     )
@@ -697,7 +690,7 @@ def sparsest_cut(
     for cand in _candidate_cuts(g, "sparsity"):
         if best is None or cand.sparsity < best.sparsity:
             best = cand
-    cheeger = _fraction_floor(lambda2_normalized(g) / 2.0)
+    cheeger = cheeger_floor(g)
     floor = max(game_floor, cheeger)
     value = best.sparsity
     factor = float(value / floor) if floor > 0 else math.inf
@@ -747,7 +740,7 @@ def lowest_conductance_cut(
     for cand in _candidate_cuts(g, "conductance"):
         if cut is None or cand.conductance < cut.conductance:
             cut = cand
-    cheeger = _fraction_floor(lambda2_normalized(g) / 2.0)
+    cheeger = cheeger_floor(g)
     floor = max(hat_res.floor, cheeger)  # Psi(hat G) <= Phi(G)
     value = cut.conductance
     factor = float(value / floor) if floor > 0 else math.inf

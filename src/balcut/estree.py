@@ -14,7 +14,6 @@ import heapq
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, StaleEdge
-from .graph import MultiGraph
 
 INF = float("inf")
 
@@ -155,14 +154,3 @@ class ESTree:
         path.reverse()
         return path
 
-
-def es_build(g: MultiGraph, root: int, depth_cap: int) -> ESTree:
-    return ESTree(g.n, g.edges, root, depth_cap)
-
-
-def es_delete_edge(tree: ESTree, eid: int) -> None:
-    tree.delete_edge(eid)
-
-
-def es_path(tree: ESTree, v: int) -> list[int] | None:
-    return tree.path_to(v)

@@ -10,7 +10,6 @@ pendant vertices onto the next smaller torus, which at worst halves sparsity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,21 +22,6 @@ MAX_EXPANDER_DEGREE = 9
 
 #: Brute-forced Psi(gabber_galil(k)) regression constants (frozen by tests).
 TORUS_SPARSITY = {2: Fraction(2), 3: Fraction(2), 4: Fraction(2)}
-
-
-@dataclass(frozen=True)
-class ExpanderParams:
-    """Certified sparsity floor for constructed expanders.
-
-    ``alpha0`` is a build-time regression constant: a global lower bound on
-    ``Psi(construct_expander(n))`` for n <= 500, verified against brute
-    force (n <= 16) and the Cheeger bound (larger n) by the regression
-    tests.  Per-size floors from :func:`expander_sparsity_floor` are tighter
-    and preferred wherever a specific size is known.
-    """
-
-    alpha0: Fraction = Fraction(1, 10)
-    max_degree: int = MAX_EXPANDER_DEGREE
 
 
 def gabber_galil(k: int) -> MultiGraph:

@@ -15,6 +15,7 @@ which keeps runs deterministic.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,10 +23,6 @@ from typing import Sequence
 
 from .errors import InternalInvariantBroken, InvalidInput
 from .graph import Cut, MultiGraph, cut_stats, path_congestion
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -64,12 +61,12 @@ class FlowInstance:
 
     @property
     def congestion_cap(self) -> int:
-        return _ceil_frac(4 / self.phi)
+        return math.ceil(4 / self.phi)
 
     @property
     def height_cap(self) -> int:
         log2m = max(1, (2 * max(self.g.m, 1)).bit_length())
-        return _ceil_frac(4 / self.phi * log2m) + 2
+        return math.ceil(4 / self.phi * log2m) + 2
 
 
 @dataclass

@@ -13,16 +13,13 @@ fails loudly instead of silently degrading.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, InternalInvariantBroken, InvalidInput
 from .graph import MultiGraph
 from .localflow import FlowInstance, bounded_push_relabel
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def expander_prune(
@@ -49,10 +46,10 @@ def expander_prune(
     everyone = frozenset(range(g.n))
     if k == 0:
         return everyone, frozenset()
-    budget = _ceil_frac(phi * g.m / 10)
+    budget = math.ceil(phi * g.m / 10)
     if k > budget:
         raise BudgetExceeded(f"k={k} deleted edges exceed ceil(phi*m/10)={budget}")
-    unit = _ceil_frac(2 / phi)
+    unit = math.ceil(2 / phi)
     if 2 * k * unit > g.volume():
         raise BudgetExceeded(
             f"trimming charge {2 * k * unit} exceeds the graph volume; "
@@ -70,18 +67,11 @@ def expander_prune(
 
     b_side: set[int] = set()
     for _ in range(g.volume() + 1):
-        members = sorted(v for v in range(g.n) if v not in b_side)
+        # Every edge the loop kills besides the batch has an endpoint in B,
+        # so (g - batch)[V - B] is exactly the live part.
+        work, members = pruned_subgraph(g, dels, everyone - b_side)
         if not members:
             raise InternalInvariantBroken("trimming consumed the whole graph")
-        new_id = {v: i for i, v in enumerate(members)}
-        sub_edges = []
-        for eid in range(g.m):
-            if not alive[eid]:
-                continue
-            u, v = g.edges[eid]
-            if u in new_id and v in new_id:
-                sub_edges.append((new_id[u], new_id[v]))
-        work = MultiGraph(len(members), sub_edges)
         stranded = {
             v for i, v in enumerate(members)
             if work.degree(i) == 0 and charge[v] > 0

@@ -6,14 +6,21 @@ full reorthogonalization), so runs are reproducible.  By Cheeger's
 inequality ``Phi(G) >= lambda2 / 2``, and since ``Psi_G(S) >= Phi_G(S)``
 for every cut, the same value lower-bounds graph sparsity.  Tests verify
 the iteration against a dense eigensolver.
+
+``cheeger_floor`` is the one rounding policy: lambda2/2 rounded down to a
+multiple of 2^-30, as a ``Fraction``.  ``certified_floor`` is the one
+certificate helper: exact brute force up to the oracle limit, the Cheeger
+floor above it.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import MultiGraph, is_connected
+from .graph import ORACLE_LIMIT, MultiGraph, brute_force_extremum, is_connected
 
 
 def adjacency_matrix(g: MultiGraph) -> sp.csr_matrix:
@@ -103,6 +110,23 @@ def lambda2_normalized(g: MultiGraph, tol: float = 1e-10, max_iter: int = 400) -
     return max(theta if theta is not None else 0.0, 0.0)
 
 
-def cheeger_floor(g: MultiGraph) -> float:
-    """lambda2/2: a conductance (hence sparsity) lower bound for every cut."""
-    return lambda2_normalized(g) / 2.0
+def cheeger_floor(g: MultiGraph) -> Fraction:
+    """lambda2/2 rounded down to a multiple of 2^-30.
+
+    A conductance (hence sparsity) lower bound for every cut of g.
+    """
+    half = lambda2_normalized(g) / 2.0
+    return Fraction(max(int(half * (1 << 30)), 0), 1 << 30)
+
+
+def certified_floor(g: MultiGraph, objective: str) -> Fraction:
+    """Certified Phi(G) or Psi(G) floor, per ``objective``.
+
+    1 below two vertices, the exact brute-force value up to the oracle
+    limit, the Cheeger bound above it.
+    """
+    if g.n < 2:
+        return Fraction(1)
+    if g.n <= ORACLE_LIMIT:
+        return brute_force_extremum(g, objective)[1]
+    return cheeger_floor(g)

@@ -27,7 +27,7 @@ from balcut.driver import (
     sparsest_cut,
 )
 from balcut.errors import BudgetExceeded
-from balcut.estree import INF, es_build, es_delete_edge
+from balcut.estree import INF, ESTree
 from balcut.expanders import TORUS_SPARSITY, construct_expander, gabber_galil
 from balcut.generators import (
     barbell_graph,
@@ -151,12 +151,12 @@ def test_ac3_es_tree_equivalence():
         g = random_graph(n, rng.choice([0.1, 0.2, 0.35]), 7000 + run)
         cap = rng.choice([3, 5, 9, 14])
         root = rng.randrange(n)
-        tree = es_build(g, root, cap)
+        tree = ESTree(g.n, g.edges, root, cap)
         alive = [1] * g.m
         order = list(range(g.m))
         rng.shuffle(order)
         for eid in order[: min(g.m, 200)]:
-            es_delete_edge(tree, eid)
+            tree.delete_edge(eid)
             alive[eid] = 0
             total_deletions += 1
             fresh = bfs_levels(g, [root], depth_cap=cap, alive_edge=alive)

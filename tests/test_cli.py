@@ -140,6 +140,13 @@ def test_cli_prune(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["boundary_edges"] <= report["boundary_budget"]
+    assert "timings" not in report
+    code = dispatch(["--timings", "prune", "--phi", "1/2", "--deleted", str(dels), str(gfile)])
+    assert code == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert timed["timings"]["total_s"] >= 0
+    del timed["timings"]
+    assert timed == report
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from balcut import cutmatch
 from balcut.cutmatch import (
     BalancedCutMove,
     CertifiedSubset,
@@ -113,11 +114,33 @@ def test_machinery_path_forced():
     check_move(g, res)
 
 
-def test_recursive_step_runs():
-    # n=300 >= n0^2 = 256 exercises the q=2 recursion when r=2.
-    g = construct_expander(300)
-    res = cut_or_certify(g, CutPlayerParams(r=2, machinery_floor=200))
-    check_move(g, res)
+def test_recursive_step_runs(monkeypatch):
+    # A 10x20 grid is bridgeless with a weak spectral gap, so neither the
+    # Cheeger gate nor a bridge answers; n=200 >= n0^2 = 25 sends r=2 into
+    # the q=2 recursion of the cut player.
+    edges = []
+    for x in range(10):
+        for y in range(20):
+            v = x * 20 + y
+            if x < 9:
+                edges.append((v, v + 20))
+            if y < 19:
+                edges.append((v, v + 1))
+    g = MultiGraph(200, edges)
+    calls = []
+    real_attempt = cutmatch._rec_attempt
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real_attempt(*args, **kwargs)
+
+    monkeypatch.setattr(cutmatch, "_rec_attempt", spy)
+    res = cut_or_certify(g, CutPlayerParams(r=2, n0=5, machinery_floor=200))
+    assert calls
+    assert isinstance(res, CertifiedSubset)
+    assert res.detail == "extracted"
+    assert res.psi == Fraction(12465013, 27487790694400)
+    assert res.side == frozenset(range(200))
 
 
 def test_extract_expander_trivial_identity():

@@ -134,6 +134,16 @@ def test_bal_cut_prune_rejects_bad_params():
         bal_cut_prune(MultiGraph(3, []), Fraction(1, 2), 1)
 
 
+def test_bal_cut_prune_rejects_mismatched_r():
+    from balcut.errors import ParamError
+
+    g = barbell_graph(6, 2)
+    with pytest.raises(ParamError):
+        bal_cut_prune(g, Fraction(1, 4), 2, CutPlayerParams())
+    res = bal_cut_prune(g, Fraction(1, 4), 2, CutPlayerParams(r=2))
+    assert res.report == bal_cut_prune(g, Fraction(1, 4), 2).report
+
+
 def test_bal_cut_prune_disconnected():
     g = MultiGraph(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (6, 7)])
     res = bal_cut_prune(g, Fraction(1, 4), 1)

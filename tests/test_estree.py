@@ -3,7 +3,7 @@ import random
 import pytest
 
 from balcut.errors import StaleEdge
-from balcut.estree import INF, es_build, es_delete_edge, es_path
+from balcut.estree import INF, ESTree
 from balcut.generators import cycle_graph, path_graph, random_graph
 from balcut.graph import MultiGraph, bfs_levels
 
@@ -15,30 +15,30 @@ def truncated_bfs(g, root, cap, alive):
 
 def test_path_graph_levels():
     g = path_graph(5)
-    t = es_build(g, 0, 10)
+    t = ESTree(g.n, g.edges, 0, 10)
     assert t.levels() == [0, 1, 2, 3, 4]
-    t2 = es_build(g, 0, 2)
+    t2 = ESTree(g.n, g.edges, 0, 2)
     assert t2.levels() == [0, 1, 2, INF, INF]
 
 
 def test_build_matches_bfs_random():
     for seed in range(10):
         g = random_graph(20, 0.2, seed)
-        t = es_build(g, 0, 6)
+        t = ESTree(g.n, g.edges, 0, 6)
         assert t.levels() == truncated_bfs(g, 0, 6, [1] * g.m)
 
 
 def test_delete_middle_of_path():
     g = path_graph(5)
-    t = es_build(g, 0, 10)
-    es_delete_edge(t, 2)  # edge (2,3)
+    t = ESTree(g.n, g.edges, 0, 10)
+    t.delete_edge(2)  # edge (2,3)
     assert t.levels() == [0, 1, 2, INF, INF]
 
 
 def test_delete_cycle_edge_gives_path_distances():
     g = cycle_graph(8)
-    t = es_build(g, 0, 20)
-    es_delete_edge(t, 3)  # edge (3,4)
+    t = ESTree(g.n, g.edges, 0, 20)
+    t.delete_edge(3)  # edge (3,4)
     alive = [1] * g.m
     alive[3] = 0
     assert t.levels() == truncated_bfs(g, 0, 20, alive)
@@ -46,10 +46,10 @@ def test_delete_cycle_edge_gives_path_distances():
 
 def test_stale_deletion_raises():
     g = path_graph(3)
-    t = es_build(g, 0, 5)
-    es_delete_edge(t, 0)
+    t = ESTree(g.n, g.edges, 0, 5)
+    t.delete_edge(0)
     with pytest.raises(StaleEdge):
-        es_delete_edge(t, 0)
+        t.delete_edge(0)
 
 
 def test_random_decremental_runs_match_bfs():
@@ -57,7 +57,7 @@ def test_random_decremental_runs_match_bfs():
     for run in range(12):
         g = random_graph(18, 0.25, 100 + run)
         cap = rng.choice([3, 5, 8])
-        t = es_build(g, run % g.n, cap)
+        t = ESTree(g.n, g.edges, run % g.n, cap)
         alive = [1] * g.m
         order = list(range(g.m))
         rng.shuffle(order)
@@ -65,7 +65,7 @@ def test_random_decremental_runs_match_bfs():
         for eid in order[: g.m // 2 + 5]:
             if eid >= g.m:
                 continue
-            es_delete_edge(t, eid)
+            t.delete_edge(eid)
             alive[eid] = 0
             now = t.levels()
             assert now == truncated_bfs(g, run % g.n, cap, alive)
@@ -76,20 +76,20 @@ def test_random_decremental_runs_match_bfs():
 
 def test_path_queries():
     g = path_graph(5)
-    t = es_build(g, 0, 10)
-    assert es_path(t, 4) == [0, 1, 2, 3, 4]
-    t2 = es_build(g, 0, 2)
-    assert es_path(t2, 4) is None
+    t = ESTree(g.n, g.edges, 0, 10)
+    assert t.path_to(4) == [0, 1, 2, 3, 4]
+    t2 = ESTree(g.n, g.edges, 0, 2)
+    assert t2.path_to(4) is None
 
     for seed in range(8):
         g = random_graph(15, 0.3, 200 + seed)
-        t = es_build(g, 0, 4)
+        t = ESTree(g.n, g.edges, 0, 4)
         edge_set = set()
         for u, v in g.edges:
             edge_set.add((u, v))
             edge_set.add((v, u))
         for v in range(g.n):
-            p = es_path(t, v)
+            p = t.path_to(v)
             if t.level(v) is INF or t.level(v) > 4:
                 assert p is None
             else:
@@ -102,9 +102,9 @@ def test_path_queries():
 def test_parallel_edges_and_virtual_vertices():
     # Parallel edges: deleting one copy keeps the level, deleting both drops it.
     g = MultiGraph(2, [(0, 1), (0, 1)])
-    t = es_build(g, 0, 3)
+    t = ESTree(g.n, g.edges, 0, 3)
     assert t.level(1) == 1
-    es_delete_edge(t, 0)
+    t.delete_edge(0)
     assert t.level(1) == 1
-    es_delete_edge(t, 1)
+    t.delete_edge(1)
     assert t.level(1) is INF

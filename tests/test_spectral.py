@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,12 @@ from balcut.generators import (
     random_connected_graph,
 )
 from balcut.graph import MultiGraph, brute_force_extremum
-from balcut.spectral import adjacency_matrix, lambda2_normalized
+from balcut.spectral import (
+    adjacency_matrix,
+    certified_floor,
+    cheeger_floor,
+    lambda2_normalized,
+)
 
 
 def dense_lambda2(g):
@@ -51,3 +58,21 @@ def test_cheeger_lower_bounds_brute_force_conductance():
 def test_deterministic_across_calls():
     g = gabber_galil(6)
     assert lambda2_normalized(g) == lambda2_normalized(g)
+
+
+def test_cheeger_floor_rounds_down_to_dyadic_fraction():
+    for g in (cycle_graph(30), gabber_galil(6), barbell_graph(9)):
+        floor = cheeger_floor(g)
+        assert isinstance(floor, Fraction)
+        assert (1 << 30) % floor.denominator == 0
+        half = lambda2_normalized(g) / 2
+        assert floor <= half < floor + Fraction(1, 1 << 30)
+
+
+def test_certified_floor_picks_oracle_or_cheeger():
+    assert certified_floor(MultiGraph(1, []), "sparsity") == 1
+    g = barbell_graph(5)
+    for objective in ("conductance", "sparsity"):
+        assert certified_floor(g, objective) == brute_force_extremum(g, objective)[1]
+    big = gabber_galil(6)
+    assert certified_floor(big, "conductance") == cheeger_floor(big)
