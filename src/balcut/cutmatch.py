@@ -38,7 +38,7 @@ from .errors import (
     RoundCapExceeded,
 )
 from .expanders import (
-    compose_expanders,
+    _check_composition,
     construct_expander,
     expander_sparsity_floor,
     partition_into_matchings,
@@ -350,9 +350,9 @@ def _base_step(cur_g, params, budget_left):
     psi_star = expander_sparsity_floor(n)
     for ell in _ell_ladder(n):
         witness = Witness(cur_g, n)
+        h_edges = h_exp.edges
         for m_ids in matchings:
-            edges = [h_exp.edges[eid] for eid in m_ids]
-            fam_pairs = [([u], [v]) for u, v in edges]
+            fam_pairs = [([h_edges[eid][0]], [h_edges[eid][1]]) for eid in m_ids]
             outcome = _routed_matchings(cur_g, fam_pairs, z, ell, budget_left)
             if outcome is None:
                 break
@@ -482,11 +482,12 @@ def _rec_attempt(cur_g, params, sub_params, blocks, extra, z, ell, budget_left):
         core = construct_expander(len(blocks))
         core_match: dict[int, list[tuple[int, int]]] = {}
         if core.m:
+            core_edges = core.edges
             for m_ids in partition_into_matchings(core):
-                fam_pairs = [(blocks[core.edges[eid][0]], blocks[core.edges[eid][1]])
+                fam_pairs = [(blocks[core_edges[eid][0]], blocks[core_edges[eid][1]])
                              for eid in m_ids]
                 for eid, pairs in zip(m_ids, play(fam_pairs)):
-                    i, j = core.edges[eid]
+                    i, j = core_edges[eid]
                     bi, bj = blocks[i][0], blocks[j][0]
                     core_match[eid] = [(u - bi, v - bj) for u, v in pairs]
 
@@ -496,9 +497,9 @@ def _rec_attempt(cur_g, params, sub_params, blocks, extra, z, ell, budget_left):
     except _AttemptOver as over:
         return over.args[0]
 
-    # Step 3: compose and extract.
-    # The composed graph itself is not needed, only its validation.
-    compose_expanders(core, [local_graph(bi) for bi in range(len(blocks))], core_match)
+    # Step 3: compose and extract.  Only the composition's validity matters;
+    # the composed graph itself is never built.
+    _check_composition(core, [nb] * len(blocks), core_match)
     psi_blocks = min(psi for _, psi in certified.values()) / 2
     psi_core = expander_sparsity_floor(len(blocks))
     delta_core = max(core.max_degree(), 1)

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .cutmatch import (
     C_CMG,
     CutPlayerParams,
@@ -159,9 +161,10 @@ class BalCutPruneResult:
     report: dict
 
 
-def _balanced_from_components(g: MultiGraph) -> BalCutPruneResult | None:
+def _balanced_from_components(
+    g: MultiGraph, comps: list[list[int]]
+) -> BalCutPruneResult | None:
     """Zero-edge balanced cut assembled from whole components, if possible."""
-    comps = connected_components(g)
     if len(comps) < 2:
         return None
     total = g.volume()
@@ -208,11 +211,11 @@ def bal_cut_prune(
     vol = g.volume()
     report: dict = {"phi": str(phi), "r": r, "notes": []}
 
-    comp_cut = _balanced_from_components(g)
+    comps = connected_components(g)
+    comp_cut = _balanced_from_components(g, comps)
     if comp_cut is not None:
         comp_cut.report.update(phi=str(phi), r=r, alpha="0")
         return comp_cut
-    comps = connected_components(g)
     if len(comps) > 1:
         # No balanced component assembly exists: one giant component holds
         # over 2/3 of the volume.  Process it; the crumbs join side B.
@@ -504,11 +507,10 @@ def expander_decomposition(
     order = sorted(range(len(final)), key=lambda i: final[i][0])
     final = [final[i] for i in order]
     certs = [certs[i] for i in order]
-    label = [0] * g.n
+    label = np.zeros(g.n, dtype=np.int64)
     for ci, cluster in enumerate(final):
-        for v in cluster:
-            label[v] = ci
-    inter = sum(1 for u, v in g.edges if label[u] != label[v])
+        label[cluster] = ci
+    inter = int(np.count_nonzero(label[g.eu] != label[g.ev]))
     if inter * 1 > eps * vol:
         raise InternalInvariantBroken(
             f"inter-cluster edges {inter} exceed eps*Vol = {float(eps * vol):.1f}"
@@ -601,19 +603,36 @@ def _sparsity_grid(g: MultiGraph):
         psi = psi / 2
 
 
+def _first_min(deltas, sizes, vols, n: int, total_vol: int, objective: str) -> int:
+    """Index of the first cut with the least conductance or sparsity.
+
+    Cut i has ``deltas[i]`` crossing edges and a side of ``sizes[i]``
+    vertices and volume ``vols[i]``.  The keys are the exact fractions of
+    ``cut_stats`` (a zero smaller volume has conductance 0), compared by
+    cross-multiplication with a strict ``<``, so ties go to the first cut.
+    """
+    best, best_num, best_den = 0, None, 1
+    for i, (delta, size, vol) in enumerate(zip(deltas, sizes, vols)):
+        if objective == "conductance":
+            den = min(vol, total_vol - vol)
+            num = delta if den else 0
+            den = den or 1
+        else:
+            num, den = delta, min(size, n - size)
+        if best_num is None or num * best_den < best_num * den:
+            best, best_num, best_den = i, num, den
+    return best
+
+
 def _best_singleton_cut(g: MultiGraph, objective: str) -> Cut:
-    best = None
-    for v in range(g.n):
-        cut = cut_stats(g, {v})
-        key = cut.conductance if objective == "conductance" else cut.sparsity
-        if best is None or key < best[0]:
-            best = (key, cut)
-    return best[1]
+    loops = np.bincount(g.eu[g.eu == g.ev], minlength=g.n)
+    deltas = (g.deg - 2 * loops).tolist()
+    v = _first_min(deltas, [1] * g.n, g.degrees(), g.n, g.volume(), objective)
+    return cut_stats(g, {v})
 
 
 def _fiedler_sweep_cut(g: MultiGraph, objective: str) -> Cut | None:
     """Best prefix cut along the Fiedler ordering (deterministic Lanczos)."""
-    import numpy as np
     import scipy.sparse as sp
 
     from .spectral import adjacency_matrix, _start_vector
@@ -638,16 +657,26 @@ def _fiedler_sweep_cut(g: MultiGraph, objective: str) -> Cut | None:
         if nrm == 0:
             return None
         x /= nrm
-    order = np.argsort(x, kind="stable")
-    best = None
-    side: set[int] = set()
-    for v in order[:-1]:
-        side.add(int(v))
-        cut = cut_stats(g, side)
-        key = cut.conductance if objective == "conductance" else cut.sparsity
-        if best is None or key < best[0]:
-            best = (key, cut)
-    return best[1] if best else None
+    return _best_prefix_cut(g, np.argsort(x, kind="stable"), objective)
+
+
+def _best_prefix_cut(g: MultiGraph, order: np.ndarray, objective: str) -> Cut:
+    """The first best proper prefix cut order[:k], 0 < k < n, in O(m).
+
+    Prefix k crosses an edge iff exactly one endpoint ranks below k, i.e.
+    for min rank < k <= max rank; a difference array over k counts the
+    crossing edges of every prefix at once.
+    """
+    n = g.n
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    lo = np.minimum(rank[g.eu], rank[g.ev])
+    hi = np.maximum(rank[g.eu], rank[g.ev])
+    diff = np.bincount(lo + 1, minlength=n + 1) - np.bincount(hi + 1, minlength=n + 1)
+    deltas = np.cumsum(diff)[1:n].tolist()
+    vols = np.cumsum(g.deg[order])[:-1].tolist()
+    k = _first_min(deltas, range(1, n), vols, n, g.volume(), objective)
+    return cut_stats(g, order[:k + 1].tolist())
 
 
 def _candidate_cuts(g: MultiGraph, objective: str) -> list[Cut]:

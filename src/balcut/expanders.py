@@ -128,6 +128,34 @@ def partition_into_matchings(g: MultiGraph) -> list[list[int]]:
     return matchings
 
 
+def _check_composition(
+    core: MultiGraph,
+    block_sizes: list[int],
+    matchings: dict[int, list[tuple[int, int]]],
+) -> None:
+    """Raise CompositionError unless ``compose_expanders`` can glue blocks of
+    these sizes along ``core`` with these matchings (see there)."""
+    if len(block_sizes) != core.n:
+        raise CompositionError(
+            f"core has {core.n} vertices but {len(block_sizes)} blocks were given"
+        )
+    if core.has_self_loops:
+        raise CompositionError("core graph must not have self-loops")
+    cardinalities = {len(pairs) for pairs in matchings.values()}
+    if core.m and (set(matchings) != set(range(core.m)) or len(cardinalities) != 1):
+        raise CompositionError("need exactly one N-pair matching per core edge")
+    n_pairs = cardinalities.pop() if cardinalities else 0
+    if core.m and any(n_pairs > size for size in block_sizes):
+        raise CompositionError("matching cardinality exceeds a block size")
+    for eid, (i, j) in enumerate(core.edges):
+        pairs = matchings[eid]
+        if not is_matching(pairs):
+            raise CompositionError(f"core edge {eid}: repeated endpoint in matching")
+        for u, v in pairs:
+            if not (0 <= u < block_sizes[i] and 0 <= v < block_sizes[j]):
+                raise CompositionError(f"core edge {eid}: endpoint outside its block")
+
+
 def compose_expanders(
     core: MultiGraph,
     blocks: list[MultiGraph],
@@ -144,35 +172,17 @@ def compose_expanders(
     Returns the composed graph on the disjoint union of the block vertex
     sets plus the per-block global id ranges.
     """
-    if len(blocks) != core.n:
-        raise CompositionError(
-            f"core has {core.n} vertices but {len(blocks)} blocks were given"
-        )
-    if any(u == v for u, v in core.edges):
-        raise CompositionError("core graph must not have self-loops")
+    _check_composition(core, [b.n for b in blocks], matchings)
     offsets = []
     total = 0
     for b in blocks:
         offsets.append(total)
         total += b.n
-    cardinalities = {len(pairs) for pairs in matchings.values()}
-    if core.m and (set(matchings) != set(range(core.m)) or len(cardinalities) != 1):
-        raise CompositionError("need exactly one N-pair matching per core edge")
-    n_pairs = cardinalities.pop() if cardinalities else 0
-    if core.m and any(n_pairs > b.n for b in blocks):
-        raise CompositionError("matching cardinality exceeds a block size")
     edges = []
     for bi, b in enumerate(blocks):
         off = offsets[bi]
         edges.extend((off + u, off + v) for u, v in b.edges)
-    for eid in range(core.m):
-        i, j = core.edges[eid]
-        pairs = matchings[eid]
-        if not is_matching(pairs):
-            raise CompositionError(f"core edge {eid}: repeated endpoint in matching")
-        for u, v in pairs:
-            if not (0 <= u < blocks[i].n and 0 <= v < blocks[j].n):
-                raise CompositionError(f"core edge {eid}: endpoint outside its block")
-            edges.append((offsets[i] + u, offsets[j] + v))
+    for eid, (i, j) in enumerate(core.edges):
+        edges.extend((offsets[i] + u, offsets[j] + v) for u, v in matchings[eid])
     ranges = [list(range(offsets[i], offsets[i] + blocks[i].n)) for i in range(len(blocks))]
     return MultiGraph(total, edges), ranges

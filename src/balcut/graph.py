@@ -13,9 +13,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InvalidCut, InvalidInput, OracleTooLarge
 
@@ -27,67 +29,109 @@ ORACLE_LIMIT = 16
 class MultiGraph:
     """An immutable multigraph given by an edge list.
 
+    Storage is array-backed: ``eu`` and ``ev`` hold the edge endpoints
+    (int64, indexed by edge id), and ``indptr``/``inc`` are a CSR of
+    incident edge ids, each vertex listing its edges in edge-id order, a
+    self-loop twice in a row.  ``deg`` holds the degrees.
+
     Attributes:
         n: number of vertices.
         edges: tuple of ``(u, v)`` pairs with ``u, v`` in ``[0, n)``.
         adj: per-vertex tuple of incident edge ids; a self-loop appears
             twice, so ``len(adj[v])`` equals ``deg(v)``.
+
+    ``edges`` and ``adj`` are tuple views built on first access; hot loops
+    read them once into locals.
     """
 
-    __slots__ = ("n", "edges", "adj", "_deg", "_loops")
+    __slots__ = ("n", "eu", "ev", "indptr", "inc", "deg", "_loops",
+                 "_edges", "_adj", "_degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise InvalidInput(f"vertex count must be nonnegative, got {n}")
-        edges = tuple((int(u), int(v)) for u, v in edges)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        deg = [0] * n
-        loops = 0
-        for eid, (u, v) in enumerate(edges):
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidInput(f"edge {eid} endpoint out of range: ({u}, {v})")
-            adj[u].append(eid)
-            deg[u] += 1
-            if u == v:
-                loops += 1
-                adj[u].append(eid)
-                deg[u] += 1
-            else:
-                adj[v].append(eid)
-                deg[v] += 1
+        self._build(n, *_edge_arrays(n, edges))
+
+    @classmethod
+    def _from_arrays(cls, n: int, eu: np.ndarray, ev: np.ndarray) -> "MultiGraph":
+        """Build from validated int64 endpoint arrays, skipping the tuple path."""
+        g = cls.__new__(cls)
+        g._build(n, eu, ev)
+        return g
+
+    def _build(self, n: int, eu: np.ndarray, ev: np.ndarray) -> None:
+        span = 2 * len(eu)
+        ends = np.empty(span, dtype=np.int64)
+        ends[0::2] = eu
+        ends[1::2] = ev
+        # Sorting the distinct keys end * 2m + slot orders the slots stably
+        # by endpoint: one stable argsort of the interleaved endpoints
+        # (n * 2m stays below 2^63 for any graph that fits in memory).
+        slots = np.sort(ends * span + np.arange(span)) % max(span, 1)
+        deg = np.bincount(ends, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(deg, out=indptr[1:])
         self.n = n
-        self.edges = edges
-        self.adj = tuple(tuple(a) for a in adj)
-        self._deg = tuple(deg)
-        self._loops = loops
+        self.eu = eu
+        self.ev = ev
+        self.indptr = indptr
+        self.inc = slots >> 1
+        self.deg = deg
+        for arr in (eu, ev, indptr, self.inc, deg):
+            arr.flags.writeable = False
+        self._loops = int(np.count_nonzero(eu == ev))
+        self._edges = self._adj = self._degrees = None
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.eu)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        if self._edges is None:
+            ids = list(range(self.n))  # one int object per vertex id
+            get = ids.__getitem__
+            self._edges = tuple(
+                zip(map(get, self.eu.tolist()), map(get, self.ev.tolist()))
+            )
+        return self._edges
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        if self._adj is None:
+            eids = list(range(self.m))  # one int object per edge id
+            flat = list(map(eids.__getitem__, self.inc.tolist()))
+            self._adj = tuple(
+                [tuple(flat[a:b]) for a, b in pairwise(self.indptr.tolist())]
+            )
+        return self._adj
 
     @property
     def has_self_loops(self) -> bool:
         return self._loops > 0
 
     def degree(self, v: int) -> int:
-        return self._deg[v]
+        return self.degrees()[v]
 
     def degrees(self) -> tuple[int, ...]:
-        return self._deg
+        if self._degrees is None:
+            self._degrees = tuple(self.deg.tolist())
+        return self._degrees
 
     def max_degree(self) -> int:
-        return max(self._deg, default=0)
+        return int(self.deg.max()) if self.n else 0
 
     def volume(self, s: Iterable[int] | None = None) -> int:
         """Vol(S) = sum of degrees over S; Vol(G) when S is omitted."""
         if s is None:
-            return sum(self._deg)
-        return sum(self._deg[v] for v in s)
+            return 2 * self.m
+        return int(self.deg[_index_array(s)].sum())
 
     def neighbors(self, v: int):
         """Yield (edge id, other endpoint) for every incident edge slot."""
+        edges = self.edges
         for eid in self.adj[v]:
-            a, b = self.edges[eid]
+            a, b = edges[eid]
             yield eid, (b if a == v else a)
 
     def reject_self_loops(self, operation: str) -> None:
@@ -96,6 +140,56 @@ class MultiGraph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"MultiGraph(n={self.n}, m={self.m})"
+
+
+def _edge_arrays(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Validated int64 endpoint arrays of an edge list of (u, v) pairs."""
+    if not isinstance(edges, (list, tuple)):
+        edges = list(edges)
+    try:
+        arr = np.array(edges, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or (edges and arr.shape != (len(edges), 2)):
+        _reject_edges(n, edges)
+    arr = arr.reshape(-1, 2)
+    eu = np.ascontiguousarray(arr[:, 0])
+    ev = np.ascontiguousarray(arr[:, 1])
+    bad = (eu < 0) | (eu >= n) | (ev < 0) | (ev >= n)
+    if bad.any():
+        eid = int(bad.argmax())
+        raise InvalidInput(
+            f"edge {eid} endpoint out of range: ({eu[eid]}, {ev[eid]})"
+        )
+    return eu, ev
+
+
+def _reject_edges(n: int, edges) -> None:
+    """Raise InvalidInput for the first edge that is not a pair, else for
+    the first edge with an endpoint outside [0, n)."""
+    for eid, e in enumerate(edges):
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise InvalidInput(f"edge {eid} is not a (u, v) pair: {e!r}") from None
+    for eid, (u, v) in enumerate(edges):
+        if not (0 <= int(u) < n and 0 <= int(v) < n):
+            raise InvalidInput(f"edge {eid} endpoint out of range: ({u}, {v})")
+    raise InvalidInput("edge endpoints must be integers")
+
+
+def _index_array(s: Iterable[int]) -> np.ndarray:
+    """A vertex collection as an int64 index array."""
+    if isinstance(s, np.ndarray):
+        return s.astype(np.int64, copy=False)
+    return np.fromiter(s, dtype=np.int64)
+
+
+def _side_mask(n: int, side: Iterable[int]) -> np.ndarray:
+    """Boolean membership mask over range(n) of a vertex set inside it."""
+    mask = np.zeros(n, dtype=bool)
+    mask[_index_array(side)] = True
+    return mask
 
 
 @dataclass(frozen=True)
@@ -114,9 +208,10 @@ class Cut:
         return len(self.side)
 
 
-def cut_edge_count(g: MultiGraph, side: frozenset[int] | set[int]) -> int:
-    """Exact recount of |E(S, V-S)| by edge enumeration."""
-    return sum(1 for u, v in g.edges if (u in side) != (v in side))
+def cut_edge_count(g: MultiGraph, side: Iterable[int]) -> int:
+    """Exact recount of |E(S, V-S)| over the edge arrays; S within range(n)."""
+    mask = _side_mask(g.n, side)
+    return int(np.count_nonzero(mask[g.eu] != mask[g.ev]))
 
 
 def cut_stats(g: MultiGraph, s: Iterable[int]) -> Cut:
@@ -142,46 +237,73 @@ def induced_subgraph(g: MultiGraph, s: Iterable[int]) -> tuple[MultiGraph, list[
     The index map sends new vertex ids back to the originals; its order is
     ascending original id, so the relabeling is deterministic.
     """
-    keep = sorted(set(int(v) for v in s))
-    if not keep:
+    idx = _index_array(s)
+    if not idx.size:
         raise InvalidInput("induced subgraph requires a nonempty vertex set")
-    if keep[0] < 0 or keep[-1] >= g.n:
+    if idx.min() < 0 or idx.max() >= g.n:
         raise InvalidInput("vertex set contains an out-of-range vertex")
-    new_id = {v: i for i, v in enumerate(keep)}
-    members = set(keep)
-    sub_edges = [
-        (new_id[u], new_id[v]) for u, v in g.edges if u in members and v in members
-    ]
-    return MultiGraph(len(keep), sub_edges), keep
+    sub, verts = masked_subgraph(g, _side_mask(g.n, idx))
+    return sub, verts.tolist()
+
+
+def masked_subgraph(
+    g: MultiGraph, keep: np.ndarray, alive: np.ndarray | None = None
+) -> tuple[MultiGraph, np.ndarray]:
+    """G[keep] restricted to the ``alive`` edges, with its index map.
+
+    ``keep`` is a boolean vertex mask and ``alive`` an optional boolean edge
+    mask.  Kept vertices are relabeled in ascending order (the index map
+    lists their original ids) and kept edges stay in edge-id order.
+    """
+    new_id = np.cumsum(keep) - 1
+    sel = keep[g.eu] & keep[g.ev]
+    if alive is not None:
+        sel &= alive
+    verts = np.flatnonzero(keep)
+    sub = MultiGraph._from_arrays(len(verts), new_id[g.eu[sel]], new_id[g.ev[sel]])
+    return sub, verts
+
+
+def incidence_csr(g: MultiGraph) -> sp.csr_matrix:
+    """Symmetric adjacency laid out as the incidence CSR: one unit entry per
+    edge slot, so parallel edges and self-loops are not yet summed."""
+    owner = np.repeat(np.arange(g.n), g.deg)
+    other = (g.eu + g.ev)[g.inc] - owner
+    return sp.csr_matrix((np.ones(len(other)), other, g.indptr), shape=(g.n, g.n))
+
+
+def _component_labels(g: MultiGraph) -> tuple[int, np.ndarray]:
+    """(component count, per-vertex component label) via scipy."""
+    # Imported on first use: csgraph pulls in scipy.sparse.linalg.
+    from scipy.sparse.csgraph import connected_components as labels
+
+    return labels(incidence_csr(g), directed=False)
 
 
 def connected_components(g: MultiGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by minimum vertex."""
-    seen = bytearray(g.n)
+    if g.n == 0:
+        return []
+    k, labels = _component_labels(g)
+    # Relabel canonically: component i holds the i-th smallest minimum vertex.
+    _, first = np.unique(labels, return_index=True)
+    rank = np.empty(k, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(k)
+    canon = rank[labels]
+    flat = np.argsort(canon, kind="stable").tolist()
     comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for _, w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = 1
-                    comp.append(w)
-                    queue.append(w)
-        comp.sort()
-        comps.append(comp)
+    lo = 0
+    for hi in np.cumsum(np.bincount(canon, minlength=k)).tolist():
+        comps.append(flat[lo:hi])
+        lo = hi
     return comps
 
 
 def is_connected(g: MultiGraph) -> bool:
-    """True iff the graph has a single connected component (BFS)."""
+    """True iff the graph has a single connected component."""
     if g.n <= 1:
         return True
-    return len(connected_components(g)[0]) == g.n
+    return _component_labels(g)[0] == 1
 
 
 def bfs_levels(g: MultiGraph, sources: Sequence[int], depth_cap: int | None = None,
@@ -229,9 +351,9 @@ def _enumerate_cut_tables(g: MultiGraph):
         if u != v:
             delta += (in_side[u] ^ in_side[v]).astype(np.int64)
     vol = np.zeros_like(masks)
-    for v in range(n):
-        if g._deg[v]:
-            vol += in_side[v] * g._deg[v]
+    for v, d in enumerate(g.degrees()):
+        if d:
+            vol += in_side[v] * d
     size = np.ones_like(masks)
     for v in range(1, n):
         size += in_side[v].astype(np.int64)
@@ -298,11 +420,12 @@ def find_bridges(g: MultiGraph) -> list[tuple[int, int, int]]:
     sub = [1] * n
     out: list[tuple[int, int, int]] = []
     timer = 0
+    adj, edges = g.adj, g.edges
     for root in range(n):
         if disc[root] != -1:
             continue
         # frame: [vertex, parent edge id, adjacency iterator, parent skipped?]
-        stack = [[root, -1, iter(g.adj[root]), False]]
+        stack = [[root, -1, iter(adj[root]), False]]
         disc[root] = low[root] = timer
         timer += 1
         while stack:
@@ -313,14 +436,14 @@ def find_bridges(g: MultiGraph) -> list[tuple[int, int, int]]:
                 if eid == pedge and not frame[3]:
                     frame[3] = True  # the tree edge itself, skipped once
                     continue
-                a, b = g.edges[eid]
+                a, b = edges[eid]
                 if a == b:
                     continue
                 w = b if a == v else a
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append([w, eid, iter(g.adj[w]), False])
+                    stack.append([w, eid, iter(adj[w]), False])
                     advanced = True
                     break
                 low[v] = min(low[v], disc[w])

@@ -53,8 +53,9 @@ class FlowInstance:
         if sum(self.source) > sum(self.sink):
             raise InvalidInput("total source mass exceeds total sink capacity")
         if self.check_degree_caps:
+            deg = g.degrees()
             for v in range(g.n):
-                if self.source[v] > g.degree(v) or self.sink[v] > g.degree(v):
+                if self.source[v] > deg[v] or self.sink[v] > deg[v]:
                     raise InvalidInput(
                         f"vertex {v}: source/sink exceeds its degree"
                     )
@@ -95,10 +96,11 @@ class Preflow:
         cap = inst.congestion_cap
         if any(abs(f) > cap for f in self.flow):
             raise InternalInvariantBroken("edge congestion above cap")
+        adj, edges = g.adj, g.edges
         for v in range(g.n):
             net = inst.source[v]
-            for eid in g.adj[v]:
-                u, w = g.edges[eid]
+            for eid in adj[v]:
+                u, w = edges[eid]
                 if u == w:
                     continue
                 net += self.flow[eid] if w == v else -self.flow[eid]
@@ -134,8 +136,8 @@ def _best_level_cut(g: MultiGraph, level: Sequence[int], phi: Fraction,
             if hi + 1 <= max_level + 1:
                 diff[hi + 1] -= 1
     vol_at = [0] * (max_level + 2)
-    for v in range(g.n):
-        vol_at[min(level[v], max_level + 1)] += g.degree(v)
+    for v, d in enumerate(g.degrees()):
+        vol_at[min(level[v], max_level + 1)] += d
     best = None  # (delta, minvol, i)
     delta = 0
     suffix = total_vol
@@ -167,7 +169,8 @@ class _PushRelabel:
     def __init__(self, inst: FlowInstance):
         g = inst.g
         self.inst = inst
-        self.g = g
+        self.edges = g.edges
+        self.adj = g.adj
         self.cap = inst.congestion_cap
         self.h = inst.height_cap
         self.flow = [0] * g.m
@@ -195,13 +198,13 @@ class _PushRelabel:
         self.queued[v] = 1
 
     def _residual(self, eid: int, frm: int) -> int:
-        u, v = self.g.edges[eid]
+        u, v = self.edges[eid]
         if u == v:
             return 0
         return self.cap - self.flow[eid] if frm == u else self.cap + self.flow[eid]
 
     def _push(self, eid: int, frm: int, amount: int) -> None:
-        u, v = self.g.edges[eid]
+        u, v = self.edges[eid]
         if frm == u:
             self.flow[eid] += amount
             to = v
@@ -218,16 +221,16 @@ class _PushRelabel:
             self._enqueue(to, self.level[to])
 
     def _discharge(self, v: int) -> None:
-        g = self.g
+        edges = self.edges
         sink_v = self.inst.sink[v]
-        adj = g.adj[v]
+        adj = self.adj[v]
         while self.mass[v] > sink_v:
             if self.ptr[v] >= len(adj):
                 # relabel to one above the lowest residual neighbor
                 new = self.h
                 for eid in adj:
                     if self._residual(eid, v) > 0:
-                        u, w = g.edges[eid]
+                        u, w = edges[eid]
                         other = w if u == v else u
                         if self.level[other] + 1 < new:
                             new = self.level[other] + 1
@@ -243,7 +246,7 @@ class _PushRelabel:
             self.work += 1
             res = self._residual(eid, v)
             if res > 0:
-                u, w = g.edges[eid]
+                u, w = edges[eid]
                 other = w if u == v else u
                 if self.level[other] == self.level[v] - 1:
                     self._push(eid, v, min(self.mass[v] - sink_v, res))
@@ -348,13 +351,14 @@ def decompose_preflow(g: MultiGraph, pf: Preflow, inst: FlowInstance) -> list[li
     is emitted); flow cycles encountered along a walk are erased in place.
     Runs in O(total flow + m).
     """
+    edges = g.edges
     rem = [abs(f) for f in pf.flow]
     out_arcs: list[list[int]] = [[] for _ in range(g.n)]
     for eid, f in enumerate(pf.flow):
         if f > 0:
-            out_arcs[g.edges[eid][0]].append(eid)
+            out_arcs[edges[eid][0]].append(eid)
         elif f < 0:
-            out_arcs[g.edges[eid][1]].append(eid)
+            out_arcs[edges[eid][1]].append(eid)
     ptr = [0] * g.n
     sink_left = [pf.absorbed(v) for v in range(g.n)]
     excess_left = [pf.excess(v) for v in range(g.n)]
@@ -378,7 +382,7 @@ def decompose_preflow(g: MultiGraph, pf: Preflow, inst: FlowInstance) -> list[li
                     eid = out_arcs[v][ptr[v]]
                     if rem[eid] > 0:
                         rem[eid] -= 1
-                        u, w = g.edges[eid]
+                        u, w = edges[eid]
                         nxt = w if pf.flow[eid] > 0 else u
                         if nxt in pos:
                             # erase the flow cycle, keep the consumed units gone

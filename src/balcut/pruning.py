@@ -17,8 +17,10 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import BudgetExceeded, InternalInvariantBroken, InvalidInput
-from .graph import MultiGraph
+from .graph import MultiGraph, _index_array, _side_mask, masked_subgraph
 from .localflow import FlowInstance, bounded_push_relabel
 
 
@@ -43,9 +45,8 @@ def expander_prune(
     if len(dels) != len(deleted):
         raise InvalidInput("deleted edge ids must be distinct")
     k = len(dels)
-    everyone = frozenset(range(g.n))
     if k == 0:
-        return everyone, frozenset()
+        return frozenset(range(g.n)), frozenset()
     budget = math.ceil(phi * g.m / 10)
     if k > budget:
         raise BudgetExceeded(f"k={k} deleted edges exceed ceil(phi*m/10)={budget}")
@@ -56,35 +57,29 @@ def expander_prune(
             f"the deletion batch is too large for phi={phi} at this scale"
         )
 
-    alive = bytearray([1]) * g.m
-    for e in dels:
-        alive[e] = 0
-    charge = [0] * g.n
-    for e in dels:
-        u, v = g.edges[e]
-        charge[u] += 1
-        charge[v] += 1
+    eu, ev = g.eu, g.ev
+    dead = np.zeros(g.m, dtype=bool)
+    dead[dels] = True
+    charge = np.bincount(np.concatenate([eu[dels], ev[dels]]), minlength=g.n)
+    # Live edges inside A; an edge leaves once it joins the boundary of B.
+    inside = ~dead
+    in_b = np.zeros(g.n, dtype=bool)
 
-    b_side: set[int] = set()
     for _ in range(g.volume() + 1):
         # Every edge the loop kills besides the batch has an endpoint in B,
         # so (g - batch)[V - B] is exactly the live part.
-        work, members = pruned_subgraph(g, dels, everyone - b_side)
-        if not members:
+        work, members = masked_subgraph(g, ~in_b, inside)
+        if not members.size:
             raise InternalInvariantBroken("trimming consumed the whole graph")
-        stranded = {
-            v for i, v in enumerate(members)
-            if work.degree(i) == 0 and charge[v] > 0
-        }
-        if stranded:
+        stranded = members[(work.deg == 0) & (charge[members] > 0)]
+        if stranded.size:
             # Charged vertices with no remaining edges cannot route their
             # mass anywhere; carve them outright.
-            b_side |= stranded
-            for v in stranded:
-                charge[v] = 0
+            in_b[stranded] = True
+            charge[stranded] = 0
             continue
-        source = tuple(unit * charge[v] for v in members)
-        sink = tuple(work.degrees())
+        source = tuple((unit * charge[members]).tolist())
+        sink = work.degrees()
         if sum(source) > sum(sink):
             raise BudgetExceeded(
                 "trimming charge outgrew the remaining volume; the deletion "
@@ -94,39 +89,29 @@ def expander_prune(
         _, excess, cut = bounded_push_relabel(inst)
         if excess == 0:
             break
-        carved = {members[i] for i in cut.side}
-        b_side |= carved
-        for v in carved:
-            charge[v] = 0
-        for eid in range(g.m):
-            if not alive[eid]:
-                continue
-            u, v = g.edges[eid]
-            if (u in b_side) != (v in b_side):
-                outside = v if u in b_side else u
-                charge[outside] += 1
-                alive[eid] = 0  # now a boundary edge, no longer inside A
+        carved = members[_index_array(cut.side)]
+        in_b[carved] = True
+        charge[carved] = 0
+        crossing = inside & (in_b[eu] != in_b[ev])
+        outside = np.where(in_b[eu[crossing]], ev[crossing], eu[crossing])
+        charge += np.bincount(outside, minlength=g.n)
+        inside &= ~crossing  # now boundary edges, no longer inside A
     else:
         raise InternalInvariantBroken("trimming did not converge")
 
-    a_side = everyone - b_side
-    _recount(g, phi, dels, a_side, b_side, k)
-    return frozenset(a_side), frozenset(b_side)
+    _recount(g, phi, dead, in_b, k)
+    return (frozenset(np.flatnonzero(~in_b).tolist()),
+            frozenset(np.flatnonzero(in_b).tolist()))
 
 
-def _recount(g, phi, dels, a_side, b_side, k) -> None:
-    dead = set(dels)
-    boundary = sum(
-        1
-        for eid, (u, v) in enumerate(g.edges)
-        if eid not in dead and (u in a_side) != (v in a_side)
-    )
+def _recount(g, phi, dead, in_b, k) -> None:
+    boundary = int(np.count_nonzero(~dead & (in_b[g.eu] != in_b[g.ev])))
     if boundary > 4 * k:
         raise InternalInvariantBroken(
             f"pruned boundary {boundary} exceeds 4k = {4 * k}"
         )
     # Vol(B) <= 8k/phi, compared exactly by cross-multiplication
-    vol_b = g.volume(b_side)
+    vol_b = int(g.deg[in_b].sum())
     if vol_b * phi.numerator > 8 * k * phi.denominator:
         raise InternalInvariantBroken(
             f"pruned volume {vol_b} exceeds 8k/phi = {float(8 * k / phi):.2f}"
@@ -137,12 +122,7 @@ def pruned_subgraph(
     g: MultiGraph, deleted: Sequence[int], a_side: Iterable[int]
 ) -> tuple[MultiGraph, list[int]]:
     """(g - deleted)[A] with its index map, for certificate checks."""
-    dead = set(deleted)
-    keep = sorted(a_side)
-    new_id = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (new_id[u], new_id[v])
-        for eid, (u, v) in enumerate(g.edges)
-        if eid not in dead and u in new_id and v in new_id
-    ]
-    return MultiGraph(len(keep), edges), keep
+    alive = np.ones(g.m, dtype=bool)
+    alive[_index_array(deleted)] = False
+    sub, verts = masked_subgraph(g, _side_mask(g.n, a_side), alive)
+    return sub, verts.tolist()

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Iterable
+
+import numpy as np
 
 from .errors import InvalidInput
 from .expanders import construct_expander, expander_sparsity_floor
@@ -52,47 +55,48 @@ class ReducedGraph:
 
 
 def reduce_degree(g: MultiGraph) -> ReducedGraph:
-    """Build the reduced graph; linear in the number of edges."""
+    """Build the reduced graph; linear in the number of edges.
+
+    The hat vertex of an incidence is its position in g's incidence CSR, so
+    v's cluster is ``range(indptr[v], indptr[v + 1])`` and edge e joins the
+    positions of its slots 2e (at u) and 2e + 1 (at v).
+    """
     g.reject_self_loops("degree reduction")
     if g.m < 1:
         raise InvalidInput("degree reduction needs at least one edge")
-    offsets = []
-    total = 0
-    for v in range(g.n):
-        offsets.append(total)
-        total += g.degree(v)
-    # Slot of edge e at endpoint v = position of e in v's incident list.
-    slot_at: dict[tuple[int, int], int] = {}
-    for v in range(g.n):
-        for pos, eid in enumerate(g.adj[v]):
-            slot_at[(eid, v)] = pos
+    deg, indptr = g.deg, g.indptr
+    total = int(indptr[-1])
+    # Inverse of the CSR slot order: slot 2e sits in u's block, 2e + 1 in v's.
+    owner = np.repeat(np.arange(g.n), deg)
+    slot = 2 * g.inc + (owner != g.eu[g.inc])
+    pos = np.empty(total, dtype=np.int64)
+    pos[slot] = np.arange(total)
 
-    hat_edges: list[tuple[int, int]] = []
-    edge_kind: list[int] = []
-    for v in range(g.n):
-        d = g.degree(v)
-        if d == 0:
-            continue
-        inner = construct_expander(d)
-        off = offsets[v]
-        for a, b in inner.edges:
-            hat_edges.append((off + a, off + b))
-            edge_kind.append(1)
-    type2_map = []
-    for eid, (u, v) in enumerate(g.edges):
-        hu = offsets[u] + slot_at[(eid, u)]
-        hv = offsets[v] + slot_at[(eid, v)]
-        type2_map.append(len(hat_edges))
-        hat_edges.append((hu, hv))
-        edge_kind.append(2)
+    # Type-1 edges: each vertex's cluster expander shifted by indptr[v], in
+    # vertex order, read from one table of every degree's expander edges.
+    sizes = np.unique(deg[deg > 0])
+    inners = [construct_expander(d) for d in sizes.tolist()]
+    table_u = np.concatenate([h.eu for h in inners])
+    table_v = np.concatenate([h.ev for h in inners])
+    inner_m = np.zeros(int(deg.max()) + 1, dtype=np.int64)
+    inner_m[sizes] = [h.m for h in inners]
+    inner_at = np.zeros_like(inner_m)  # first table row of each degree
+    inner_at[sizes] = np.cumsum(inner_m[sizes]) - inner_m[sizes]
+    count = inner_m[deg]
+    vertex = np.repeat(np.arange(g.n), count)
+    row = inner_at[deg[vertex]] + np.arange(len(vertex)) - (np.cumsum(count) - count)[vertex]
+    shift = indptr[vertex]
+    hat_u = np.concatenate([table_u[row] + shift, pos[0::2]])
+    hat_v = np.concatenate([table_v[row] + shift, pos[1::2]])
+    type1 = len(vertex)
 
-    hat_g = MultiGraph(total, hat_edges)
+    hat_g = MultiGraph._from_arrays(total, hat_u, hat_v)
     assert hat_g.n == 2 * g.m
     assert hat_g.max_degree() <= 10
-    clusters = tuple(
-        range(offsets[v], offsets[v] + g.degree(v)) for v in range(g.n)
-    )
-    return ReducedGraph(hat_g, clusters, tuple(edge_kind), tuple(type2_map), g.n)
+    clusters = tuple(range(a, b) for a, b in pairwise(indptr.tolist()))
+    edge_kind = (1,) * type1 + (2,) * g.m
+    type2_map = tuple(range(type1, type1 + g.m))
+    return ReducedGraph(hat_g, clusters, edge_kind, type2_map, g.n)
 
 
 def is_canonical(r: ReducedGraph, vertices: Iterable[int]) -> bool:

@@ -105,10 +105,11 @@ def greedy_pack_round(
     src, dst = n, n + 1
     matches: list[list[tuple[int, int]]] = [[] for _ in residual]
     paths: dict[tuple[int, int], list[int]] = {}
+    host_edges = g.edges
     for i, (a_set, b_set) in enumerate(residual):
         if not a_set or not b_set:
             continue
-        edges = [g.edges[eid] if alive[eid] else (src, src) for eid in range(m)]
+        edges = [e if alive[eid] else (src, src) for eid, e in enumerate(host_edges)]
         virt: dict[int, int] = {}
         for a in sorted(a_set):
             virt[a] = len(edges)
@@ -139,11 +140,12 @@ def _edge_ids_along(g: MultiGraph, path: list[int], alive: bytearray) -> list[in
     """Pick one live edge id per consecutive path pair."""
     chosen = []
     taken: set[int] = set()
+    adj, edges = g.adj, g.edges
     for x, y in zip(path, path[1:]):
-        for eid in g.adj[x]:
+        for eid in adj[x]:
             if not alive[eid] or eid in taken:
                 continue
-            u, v = g.edges[eid]
+            u, v = edges[eid]
             if (u == x and v == y) or (u == y and v == x):
                 chosen.append(eid)
                 taken.add(eid)
@@ -282,7 +284,7 @@ def _cut_phase(
     """Peel ball cuts around far-apart families in the depleted graph."""
     n = g.n
     live: list[tuple[int, int]] = [
-        g.edges[eid] for eid in range(g.m) if alive[eid]
+        e for eid, e in enumerate(g.edges) if alive[eid]
     ]
     removed: set[int] = set()
     a_res = [set(a) for a, _ in residual]

@@ -20,25 +20,20 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import ORACLE_LIMIT, MultiGraph, brute_force_extremum, is_connected
+from .graph import (
+    ORACLE_LIMIT,
+    MultiGraph,
+    brute_force_extremum,
+    incidence_csr,
+    is_connected,
+)
 
 
 def adjacency_matrix(g: MultiGraph) -> sp.csr_matrix:
     """Sparse adjacency with parallel-edge multiplicities; loops count twice."""
-    rows, cols, vals = [], [], []
-    for u, v in g.edges:
-        if u == v:
-            rows.append(u)
-            cols.append(u)
-            vals.append(2.0)
-        else:
-            rows.extend((u, v))
-            cols.extend((v, u))
-            vals.extend((1.0, 1.0))
-    return sp.csr_matrix(
-        (np.array(vals), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(g.n, g.n),
-    )
+    a = incidence_csr(g)
+    a.sum_duplicates()
+    return a
 
 
 def _start_vector(n: int) -> np.ndarray:

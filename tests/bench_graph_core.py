@@ -1,0 +1,42 @@
+"""Micro-benchmarks of the array-backed graph core at 160k edges.
+
+Not collected by the default ``test_*.py`` pattern; run them with
+
+    python -m pytest tests/bench_graph_core.py --benchmark-only
+
+The graph is ``random_regularish_graph(20000, 16, seed=1)`` (m = 160 000),
+the input of the ``prune_batches`` benchmark workload.
+"""
+
+import pytest
+
+from balcut.generators import random_regularish_graph
+from balcut.graph import MultiGraph, connected_components, induced_subgraph
+from balcut.reduce import reduce_degree
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return random_regularish_graph(20000, 16, 1)
+
+
+def test_construction(benchmark, graph):
+    edges = list(graph.edges)
+    g = benchmark(MultiGraph, graph.n, edges)
+    assert g.m == graph.m
+
+
+def test_induced_subgraph(benchmark, graph):
+    half = range(0, graph.n, 2)
+    sub, idx = benchmark(induced_subgraph, graph, half)
+    assert len(idx) == sub.n == graph.n // 2
+
+
+def test_connected_components(benchmark, graph):
+    comps = benchmark(connected_components, graph)
+    assert sum(len(c) for c in comps) == graph.n
+
+
+def test_reduce_degree(benchmark, graph):
+    red = benchmark(reduce_degree, graph)
+    assert red.hat_g.n == 2 * graph.m

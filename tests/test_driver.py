@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from balcut.cutmatch import CutPlayerParams
 from balcut.driver import (
     ApproxCutResult,
+    _best_prefix_cut,
+    _best_singleton_cut,
     BalCutPruneResult,
     NoBalancedSparseCutCertificate,
     WitnessResult,
@@ -29,6 +32,7 @@ from balcut.graph import (
     MultiGraph,
     brute_force_extremum,
     cut_edge_count,
+    cut_stats,
     graph_conductance,
     graph_sparsity,
     induced_subgraph,
@@ -261,3 +265,33 @@ def test_determinism_of_drivers():
     d1 = expander_decomposition(g, Fraction(1, 2), 1)
     d2 = expander_decomposition(g, Fraction(1, 2), 1)
     assert d1.clusters == d2.clusters
+
+
+def _scan_reference(g, sides, objective):
+    """The per-cut loop the O(m) scans replaced: cut_stats on every side,
+    strict < on exact keys, so ties go to the first minimum."""
+    best = None
+    for side in sides:
+        cut = cut_stats(g, side)
+        key = cut.conductance if objective == "conductance" else cut.sparsity
+        if best is None or key < best[0]:
+            best = (key, cut)
+    return best[1]
+
+
+def test_prefix_and_singleton_scans_match_the_cut_stats_loop():
+    rng = random.Random(7)
+    for trial in range(120):
+        n = rng.randint(2, 14)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 30))]
+        edges += edges[: rng.randint(0, 3)]  # parallel copies
+        g = MultiGraph(n, edges)
+        order = np.array(rng.sample(range(n), n))
+        for objective in ("conductance", "sparsity"):
+            prefixes = [order[:k].tolist() for k in range(1, n)]
+            assert _best_prefix_cut(g, order, objective) == _scan_reference(
+                g, prefixes, objective
+            )
+            assert _best_singleton_cut(g, objective) == _scan_reference(
+                g, [[v] for v in range(n)], objective
+            )

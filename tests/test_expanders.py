@@ -6,6 +6,7 @@ import pytest
 from balcut.errors import CompositionError, DegreeTooHigh, InvalidParam
 from balcut.expanders import (
     TORUS_SPARSITY,
+    _check_composition,
     compose_expanders,
     construct_expander,
     expander_sparsity_floor,
@@ -157,3 +158,23 @@ def test_compose_rejects_bad_matchings():
         compose_expanders(core, blocks, {0: [(0, 9)]})  # endpoint outside block
     with pytest.raises(CompositionError):
         compose_expanders(core, [complete_graph(4)], {0: []})  # block count mismatch
+
+
+def test_check_composition_rejects_what_compose_rejects():
+    core = MultiGraph(2, [(0, 1)])
+    blocks = [complete_graph(4), complete_graph(4)]
+    bad = [
+        (core, blocks, {0: [(0, 0), (0, 1)]}),  # repeated left endpoint
+        (core, blocks, {0: [(0, 9)]}),  # endpoint outside block
+        (core, [complete_graph(4)], {0: []}),  # block count mismatch
+        (core, blocks, {}),  # no matching for the core edge
+        # more pairs than the block the core edge does not touch
+        (MultiGraph(3, [(0, 1)]), blocks + [complete_graph(1)], {0: [(0, 0), (1, 1)]}),
+        (MultiGraph(2, [(0, 0)]), blocks, {0: []}),  # self-loop in the core
+    ]
+    for c, bs, matchings in bad:
+        with pytest.raises(CompositionError):
+            compose_expanders(c, bs, matchings)
+        with pytest.raises(CompositionError):
+            _check_composition(c, [b.n for b in bs], matchings)
+    _check_composition(core, [4, 4], {0: [(i, i) for i in range(4)]})

@@ -1,8 +1,15 @@
+import random
+from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balcut.errors import InvalidCut, InvalidInput, OracleTooLarge
+from balcut.expanders import construct_expander
 from balcut.generators import (
     barbell_graph,
     complete_graph,
@@ -14,11 +21,15 @@ from balcut.generators import (
 from balcut.graph import (
     MultiGraph,
     brute_force_extremum,
+    connected_components,
     cut_edge_count,
     cut_stats,
+    find_bridges,
     induced_subgraph,
     is_connected,
 )
+from balcut.reduce import reduce_degree
+from balcut.spectral import adjacency_matrix
 
 
 def test_cut_stats_k4_singleton():
@@ -159,3 +170,187 @@ def test_oracle_minimality_on_random_instances():
         if len(probe) == g.n:
             probe = frozenset([0])
         assert best <= cut_stats(g, probe).conductance
+
+
+def test_edge_that_is_not_a_pair_is_rejected():
+    with pytest.raises(InvalidInput, match="edge 1 is not a"):
+        MultiGraph(3, [(0, 1), (0, 1, 2)])
+    with pytest.raises(InvalidInput, match="edge 0 is not a"):
+        MultiGraph(3, [5])
+
+
+def test_out_of_range_edge_keeps_its_message():
+    with pytest.raises(InvalidInput, match=r"edge 1 endpoint out of range: \(2, 3\)"):
+        MultiGraph(3, [(0, 1), (2, 3), (-1, 0)])
+    with pytest.raises(InvalidInput, match=r"edge 0 endpoint out of range: \(0, -1\)"):
+        MultiGraph(3, [(0, -1)])
+
+
+# ---------------------------------------------------------------------------
+# The array core against the tuple-of-tuples algorithms it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_adj_deg(n, edges):
+    adj = [[] for _ in range(n)]
+    deg = [0] * n
+    for eid, (u, v) in enumerate(edges):
+        adj[u].append(eid)
+        deg[u] += 1
+        if u == v:
+            adj[u].append(eid)
+            deg[u] += 1
+        else:
+            adj[v].append(eid)
+            deg[v] += 1
+    return tuple(tuple(a) for a in adj), tuple(deg)
+
+
+def ref_components(n, edges, adj):
+    seen = bytearray(n)
+    comps = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        comp = [start]
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for eid in adj[v]:
+                a, b = edges[eid]
+                w = b if a == v else a
+                if not seen[w]:
+                    seen[w] = 1
+                    comp.append(w)
+                    queue.append(w)
+        comp.sort()
+        comps.append(comp)
+    return comps
+
+
+def ref_induced(edges, s):
+    keep = sorted(set(s))
+    new_id = {v: i for i, v in enumerate(keep)}
+    sub = [(new_id[u], new_id[v]) for u, v in edges if u in new_id and v in new_id]
+    return len(keep), tuple(sub), keep
+
+
+def ref_reduce(n, edges, adj, deg):
+    offsets, total = [], 0
+    for v in range(n):
+        offsets.append(total)
+        total += deg[v]
+    slot_at = {(eid, v): pos for v in range(n) for pos, eid in enumerate(adj[v])}
+    hat, kind = [], []
+    for v in range(n):
+        if deg[v]:
+            for a, b in construct_expander(deg[v]).edges:
+                hat.append((offsets[v] + a, offsets[v] + b))
+                kind.append(1)
+    type2 = []
+    for eid, (u, v) in enumerate(edges):
+        type2.append(len(hat))
+        hat.append((offsets[u] + slot_at[(eid, u)], offsets[v] + slot_at[(eid, v)]))
+        kind.append(2)
+    return tuple(hat), tuple(kind), tuple(type2)
+
+
+def ref_adjacency(n, edges):
+    rows, cols, vals = [], [], []
+    for u, v in edges:
+        if u == v:
+            rows.append(u)
+            cols.append(u)
+            vals.append(2.0)
+        else:
+            rows.extend((u, v))
+            cols.extend((v, u))
+            vals.extend((1.0, 1.0))
+    return sp.csr_matrix(
+        (np.array(vals), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+        shape=(n, n),
+    )
+
+
+@st.composite
+def multigraphs(draw):
+    """Small multigraphs with parallel edges, self-loops, isolated vertices
+    and the empty graph, plus a vertex subset."""
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return 0, [], []
+    vertex = st.integers(0, n - 1)
+    base = draw(st.lists(st.tuples(vertex, vertex), max_size=30))
+    dups = draw(st.lists(st.integers(0, 29), max_size=5))
+    edges = base + [base[i] for i in dups if i < len(base)]
+    side = draw(st.lists(vertex, max_size=n))
+    return n, edges, side
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+def test_array_core_matches_reference(case):
+    n, edges, side = case
+    g = MultiGraph(n, edges)
+    adj, deg = ref_adj_deg(n, edges)
+    assert g.edges == tuple(edges)
+    assert g.adj == adj
+    assert g.degrees() == deg
+    assert g.volume() == sum(deg)
+    assert connected_components(g) == ref_components(n, edges, adj)
+    assert is_connected(g) == (n <= 1 or len(ref_components(n, edges, adj)) == 1)
+    assert cut_edge_count(g, set(side)) == sum(
+        1 for u, v in edges if (u in side) != (v in side)
+    )
+    if side:
+        sub, idx = induced_subgraph(g, side)
+        assert (sub.n, sub.edges, idx) == ref_induced(edges, side)
+        assert sub.adj == ref_adj_deg(sub.n, sub.edges)[0]
+    a, ref = adjacency_matrix(g), ref_adjacency(n, edges)
+    for field in ("indptr", "indices", "data"):
+        got, want = getattr(a, field), getattr(ref, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    loopless = [(u, v) for u, v in edges if u != v]
+    if loopless:
+        h = MultiGraph(n, loopless)
+        r = reduce_degree(h)
+        hat, kind, type2 = ref_reduce(n, loopless, *ref_adj_deg(n, loopless))
+        assert (r.hat_g.edges, r.edge_kind, r.type2_map) == (hat, kind, type2)
+
+
+def _nx_case(n, seed, attach):
+    """A sparse random multigraph: a random forest (a tree when ``attach``
+    is 1) plus random edges, parallel copies and self-loops."""
+    rng = random.Random(seed)
+    edges = []
+    for v in range(1, n):
+        if rng.random() < attach:
+            edges.append((rng.randrange(v), v))
+    for _ in range(n // 10):
+        edges.append((rng.randrange(n), rng.randrange(n)))
+    for _ in range(n // 20):
+        edges.append(edges[rng.randrange(len(edges))])
+    return edges
+
+
+@pytest.mark.parametrize(
+    "n,seed,attach", [(100, 1, 0.8), (300, 2, 0.8), (1000, 3, 0.8), (1000, 4, 1.0)]
+)
+def test_components_and_bridges_match_networkx(n, seed, attach):
+    nx = pytest.importorskip("networkx")
+    edges = _nx_case(n, seed, attach)
+    g = MultiGraph(n, edges)
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    want = sorted(sorted(c) for c in nx.connected_components(h))
+    assert connected_components(g) == want
+    assert is_connected(g) == nx.is_connected(h) == (attach == 1.0)
+    bridges = find_bridges(g)
+    got = {frozenset(g.edges[eid]) for eid, _, _ in bridges}
+    assert got == {frozenset(e) for e in nx.bridges(h) if e[0] != e[1]}
+    for eid, child, size in bridges:
+        h.remove_edge(*g.edges[eid])
+        assert size == len(nx.node_connected_component(h, child))
+        h.add_edge(*g.edges[eid])
