@@ -53,6 +53,7 @@ from .graph import (
     induced_subgraph,
     path_congestion,
     subtree_side,
+    with_edges,
 )
 from .routing import PairFamily, PartialRouting, log2ceil, route_or_cut
 from .spectral import certified_floor, cheeger_floor
@@ -162,7 +163,7 @@ def extract_expander(
         raise InvalidInput("witness must live on the host vertex set")
     fake = w.fake_edges
     cong = w.congestion()
-    aug = MultiGraph(g.n, list(g.edges) + fake)
+    aug = with_edges(g, fake)
     delta_aug = max(aug.max_degree(), 1)
     if fake:
         strict_budget = Fraction(psi) * g.n / (32 * delta_aug * cong)
@@ -175,9 +176,7 @@ def extract_expander(
         raise InvalidInput("witness sparsity floor must be positive")
     fake_ids = list(range(g.m, g.m + len(fake)))
     a_side, b_side = _prune_for_extract(aug, phi_hat, fake_ids)
-    boundary = sum(
-        1 for u, v in g.edges if (u in a_side) != (v in a_side)
-    )
+    boundary = cut_edge_count(g, a_side)
     if boundary > 4 * max(len(fake), 1) and fake:
         raise InternalInvariantBroken("extraction boundary above 4|F|")
     if fake:

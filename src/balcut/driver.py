@@ -41,6 +41,8 @@ from .graph import (
     cut_edge_count,
     cut_stats,
     induced_subgraph,
+    threshold_cut_counts,
+    with_edges,
 )
 from .localflow import PairRouting, route_or_cut_1pair
 from .pruning import expander_prune
@@ -353,9 +355,7 @@ def _witness_case(g, red, members, wr: WitnessResult, acc, phi, report, params):
         cv = red.cluster_of(members[hv])
         if cu != cv:
             fake_pairs.append((back[cu], back[cv]))
-    contracted = MultiGraph(
-        sub_g.n, list(sub_g.edges) + fake_pairs
-    )
+    contracted = with_edges(sub_g, fake_pairs)
     fake_ids = list(range(sub_g.m, sub_g.m + len(fake_pairs)))
     phi_gpp = Fraction(wr.psi_witness) / max(wr.congestion, 1)
     phi_gpp = min(phi_gpp, Fraction(1))
@@ -663,18 +663,12 @@ def _fiedler_sweep_cut(g: MultiGraph, objective: str) -> Cut | None:
 def _best_prefix_cut(g: MultiGraph, order: np.ndarray, objective: str) -> Cut:
     """The first best proper prefix cut order[:k], 0 < k < n, in O(m).
 
-    Prefix k crosses an edge iff exactly one endpoint ranks below k, i.e.
-    for min rank < k <= max rank; a difference array over k counts the
-    crossing edges of every prefix at once.
+    Prefix k is the threshold side {v : rank(v) < k}.
     """
     n = g.n
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    lo = np.minimum(rank[g.eu], rank[g.ev])
-    hi = np.maximum(rank[g.eu], rank[g.ev])
-    diff = np.bincount(lo + 1, minlength=n + 1) - np.bincount(hi + 1, minlength=n + 1)
-    deltas = np.cumsum(diff)[1:n].tolist()
-    vols = np.cumsum(g.deg[order])[:-1].tolist()
+    deltas, vols = threshold_cut_counts(g, rank, n - 1)
     k = _first_min(deltas, range(1, n), vols, n, g.volume(), objective)
     return cut_stats(g, order[:k + 1].tolist())
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,22 +29,24 @@ class MultiGraph:
     """An immutable multigraph given by an edge list.
 
     Storage is array-backed: ``eu`` and ``ev`` hold the edge endpoints
-    (int64, indexed by edge id), and ``indptr``/``inc`` are a CSR of
-    incident edge ids, each vertex listing its edges in edge-id order, a
-    self-loop twice in a row.  ``deg`` holds the degrees.
+    (int64, indexed by edge id), and ``indptr``/``inc``/``nbr`` are a CSR
+    of incidence slots: vertex v owns slots ``indptr[v] .. indptr[v+1]-1``,
+    slot k holds an incident edge id ``inc[k]`` and that edge's other
+    endpoint ``nbr[k]``.  Each vertex lists its edges in edge-id order, a
+    self-loop twice in a row, so v owns ``deg[v]`` slots.
 
     Attributes:
         n: number of vertices.
         edges: tuple of ``(u, v)`` pairs with ``u, v`` in ``[0, n)``.
-        adj: per-vertex tuple of incident edge ids; a self-loop appears
-            twice, so ``len(adj[v])`` equals ``deg(v)``.
+        slots: the lists ``(indptr, inc, nbr)`` for pure-Python walks;
+            they are shared by every reader and must not be modified.
 
-    ``edges`` and ``adj`` are tuple views built on first access; hot loops
-    read them once into locals.
+    ``edges`` and ``slots`` are views built on first access; hot loops read
+    them once into locals.
     """
 
-    __slots__ = ("n", "eu", "ev", "indptr", "inc", "deg", "_loops",
-                 "_edges", "_adj", "_degrees")
+    __slots__ = ("n", "eu", "ev", "indptr", "inc", "nbr", "deg", "_loops",
+                 "_edges", "_slots", "_degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -76,11 +77,13 @@ class MultiGraph:
         self.ev = ev
         self.indptr = indptr
         self.inc = slots >> 1
+        np.bitwise_xor(slots, 1, out=slots)  # slot 2e + i is end i of edge e
+        self.nbr = ends[slots]
         self.deg = deg
-        for arr in (eu, ev, indptr, self.inc, deg):
+        for arr in (eu, ev, indptr, self.inc, self.nbr, deg):
             arr.flags.writeable = False
         self._loops = int(np.count_nonzero(eu == ev))
-        self._edges = self._adj = self._degrees = None
+        self._edges = self._slots = self._degrees = None
 
     @property
     def m(self) -> int:
@@ -97,14 +100,14 @@ class MultiGraph:
         return self._edges
 
     @property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        if self._adj is None:
-            eids = list(range(self.m))  # one int object per edge id
-            flat = list(map(eids.__getitem__, self.inc.tolist()))
-            self._adj = tuple(
-                [tuple(flat[a:b]) for a, b in pairwise(self.indptr.tolist())]
+    def slots(self) -> tuple[list[int], list[int], list[int]]:
+        if self._slots is None:
+            self._slots = (
+                self.indptr.tolist(),
+                _int_objects(self.m)[self.inc].tolist(),
+                _int_objects(self.n)[self.nbr].tolist(),
             )
-        return self._adj
+        return self._slots
 
     @property
     def has_self_loops(self) -> bool:
@@ -128,11 +131,10 @@ class MultiGraph:
         return int(self.deg[_index_array(s)].sum())
 
     def neighbors(self, v: int):
-        """Yield (edge id, other endpoint) for every incident edge slot."""
-        edges = self.edges
-        for eid in self.adj[v]:
-            a, b = edges[eid]
-            yield eid, (b if a == v else a)
+        """(edge id, other endpoint) of every incidence slot of v, in order."""
+        indptr, inc, nbr = self.slots
+        a, b = indptr[v], indptr[v + 1]
+        return zip(inc[a:b], nbr[a:b])
 
     def reject_self_loops(self, operation: str) -> None:
         if self._loops:
@@ -140,6 +142,12 @@ class MultiGraph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"MultiGraph(n={self.n}, m={self.m})"
+
+
+def _int_objects(count: int) -> np.ndarray:
+    """The ints 0 .. count-1 as an object array.  Indexing it and calling
+    ``tolist`` shares one int object per id instead of making one per entry."""
+    return np.array(range(count), dtype=object)
 
 
 def _edge_arrays(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -264,12 +272,39 @@ def masked_subgraph(
     return sub, verts
 
 
+def with_edges(g: MultiGraph, extra: Iterable[tuple[int, int]]) -> MultiGraph:
+    """G plus the ``extra`` (u, v) pairs, appended as edge ids m, m+1, ..."""
+    eu, ev = _edge_arrays(g.n, extra)
+    return MultiGraph._from_arrays(
+        g.n, np.concatenate([g.eu, eu]), np.concatenate([g.ev, ev])
+    )
+
+
+def threshold_cut_counts(
+    g: MultiGraph, key: Sequence[int], top: int
+) -> tuple[list[int], list[int]]:
+    """Crossing edges and volume of each side {v : key[v] < t}, t = 1..top.
+
+    ``key`` gives every vertex a nonnegative integer.  An edge crosses
+    threshold t iff its smaller key is below t and its larger key is not,
+    so difference arrays over t count every threshold in O(n + m + top);
+    keys above ``top`` all act as ``top + 1``.
+    """
+    key = np.minimum(np.asarray(key, dtype=np.int64), top + 1)
+    ku, kv = key[g.eu], key[g.ev]
+    lo, hi = np.minimum(ku, kv), np.maximum(ku, kv)
+    span = top + 3
+    crossing = np.cumsum(np.bincount(lo + 1, minlength=span)
+                         - np.bincount(hi + 1, minlength=span))
+    volume = np.cumsum(np.bincount(lo, minlength=span)
+                       + np.bincount(hi, minlength=span))
+    return crossing[1:top + 1].tolist(), volume[:top].tolist()
+
+
 def incidence_csr(g: MultiGraph) -> sp.csr_matrix:
     """Symmetric adjacency laid out as the incidence CSR: one unit entry per
     edge slot, so parallel edges and self-loops are not yet summed."""
-    owner = np.repeat(np.arange(g.n), g.deg)
-    other = (g.eu + g.ev)[g.inc] - owner
-    return sp.csr_matrix((np.ones(len(other)), other, g.indptr), shape=(g.n, g.n))
+    return sp.csr_matrix((np.ones(len(g.nbr)), g.nbr, g.indptr), shape=(g.n, g.n))
 
 
 def _component_labels(g: MultiGraph) -> tuple[int, np.ndarray]:
@@ -420,33 +455,30 @@ def find_bridges(g: MultiGraph) -> list[tuple[int, int, int]]:
     sub = [1] * n
     out: list[tuple[int, int, int]] = []
     timer = 0
-    adj, edges = g.adj, g.edges
+    indptr, inc, nbr = g.slots
     for root in range(n):
         if disc[root] != -1:
             continue
-        # frame: [vertex, parent edge id, adjacency iterator, parent skipped?]
-        stack = [[root, -1, iter(adj[root]), False]]
+        # frame: [vertex, parent edge id, slot iterator, parent skipped?]
+        stack = [[root, -1, iter(range(indptr[root], indptr[root + 1])), False]]
         disc[root] = low[root] = timer
         timer += 1
         while stack:
             frame = stack[-1]
             v, pedge, it = frame[0], frame[1], frame[2]
             advanced = False
-            for eid in it:
+            for k in it:
+                eid, w = inc[k], nbr[k]
                 if eid == pedge and not frame[3]:
                     frame[3] = True  # the tree edge itself, skipped once
                     continue
-                a, b = edges[eid]
-                if a == b:
-                    continue
-                w = b if a == v else a
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append([w, eid, iter(adj[w]), False])
+                    stack.append([w, eid, iter(range(indptr[w], indptr[w + 1])), False])
                     advanced = True
                     break
-                low[v] = min(low[v], disc[w])
+                low[v] = min(low[v], disc[w])  # a no-op on a self-loop
             if not advanced:
                 stack.pop()
                 if stack:
@@ -485,13 +517,16 @@ def path_congestion(g: MultiGraph, paths) -> int:
             use[key] = use.get(key, 0) + 1
     if not use:
         return 0
-    copies: dict[tuple[int, int], int] = {}
-    for u, v in g.edges:
-        key = (u, v) if u < v else (v, u)
-        copies[key] = copies.get(key, 0) + 1
+    # parallel copies of pair (x, y): count key x * n + y among the edges
+    n = g.n
+    edge_keys = np.sort(np.minimum(g.eu, g.ev) * n + np.maximum(g.eu, g.ev))
+    pairs = np.array(list(use), dtype=np.int64)
+    want = pairs[:, 0] * n + pairs[:, 1]
+    copies = (np.searchsorted(edge_keys, want, side="right")
+              - np.searchsorted(edge_keys, want, side="left"))
+    copies[(pairs < 0).any(axis=1) | (pairs >= n).any(axis=1)] = 0
     worst = 0
-    for key, cnt in use.items():
-        k = copies.get(key, 0)
+    for (key, cnt), k in zip(use.items(), copies.tolist()):
         if k == 0:
             raise InvalidInput(f"path uses a non-edge {key}")
         worst = max(worst, -(-cnt // k))

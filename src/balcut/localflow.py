@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InternalInvariantBroken, InvalidInput
-from .graph import Cut, MultiGraph, cut_stats, path_congestion
+from .graph import Cut, MultiGraph, cut_stats, path_congestion, threshold_cut_counts
 
 
 @dataclass(frozen=True)
@@ -93,23 +95,21 @@ class Preflow:
     def validate(self, inst: FlowInstance) -> None:
         """Exact recount of every preflow invariant; raises on violation."""
         g = inst.g
-        cap = inst.congestion_cap
-        if any(abs(f) > cap for f in self.flow):
+        flow = np.array(self.flow, dtype=np.int64)
+        if flow.size and np.abs(flow).max() > inst.congestion_cap:
             raise InternalInvariantBroken("edge congestion above cap")
-        adj, edges = g.adj, g.edges
-        for v in range(g.n):
-            net = inst.source[v]
-            for eid in adj[v]:
-                u, w = edges[eid]
-                if u == w:
-                    continue
-                net += self.flow[eid] if w == v else -self.flow[eid]
-            # adj lists self-loops twice; loops carry no flow
-            if net != self.mass[v]:
+        # net inflow, in exact int64; a self-loop's flow enters and leaves
+        net = np.array(inst.source, dtype=np.int64)
+        np.add.at(net, g.ev, flow)
+        np.subtract.at(net, g.eu, flow)
+        mass = np.array(self.mass, dtype=np.int64)
+        bad = (net != mass) | (net < 0)
+        if bad.any():
+            v = int(bad.argmax())
+            if net[v] != mass[v]:
                 raise InternalInvariantBroken(f"mass mismatch at vertex {v}")
-            if net < 0:
-                # equivalent to net outflow exceeding the vertex's source mass
-                raise InternalInvariantBroken(f"negative mass at vertex {v}")
+            # equivalent to net outflow exceeding the vertex's source mass
+            raise InternalInvariantBroken(f"negative mass at vertex {v}")
 
 
 def _best_level_cut(g: MultiGraph, level: Sequence[int], phi: Fraction,
@@ -122,28 +122,10 @@ def _best_level_cut(g: MultiGraph, level: Sequence[int], phi: Fraction,
     if max_level < 1:
         return None
     total_vol = g.volume()
-    # delta(i) = # edges with min level < i <= max level, via a difference array
-    diff = [0] * (max_level + 2)
-    for u, v in g.edges:
-        lu, lv = level[u], level[v]
-        if lu == lv:
-            continue
-        lo, hi = (lu, lv) if lu < lv else (lv, lu)
-        lo = min(lo, max_level + 1)
-        hi = min(hi, max_level + 1)
-        if lo < hi:
-            diff[lo + 1] += 1
-            if hi + 1 <= max_level + 1:
-                diff[hi + 1] -= 1
-    vol_at = [0] * (max_level + 2)
-    for v, d in enumerate(g.degrees()):
-        vol_at[min(level[v], max_level + 1)] += d
+    crossing, below = threshold_cut_counts(g, level, max_level)
     best = None  # (delta, minvol, i)
-    delta = 0
-    suffix = total_vol
-    for i in range(1, max_level + 1):
-        delta += diff[i]
-        suffix -= vol_at[i - 1]
+    for i, (delta, vol_below) in enumerate(zip(crossing, below), 1):
+        suffix = total_vol - vol_below
         if suffix <= 0 or suffix >= total_vol:
             continue
         minvol = min(suffix, total_vol - suffix)
@@ -168,15 +150,15 @@ def _best_level_cut(g: MultiGraph, level: Sequence[int], phi: Fraction,
 class _PushRelabel:
     def __init__(self, inst: FlowInstance):
         g = inst.g
-        self.inst = inst
-        self.edges = g.edges
-        self.adj = g.adj
+        self.sink = inst.sink
+        self.indptr, self.inc, self.nbr = g.slots
+        self.eu = g.eu.tolist()
         self.cap = inst.congestion_cap
         self.h = inst.height_cap
         self.flow = [0] * g.m
         self.level = [0] * g.n
         self.mass = list(inst.source)
-        self.ptr = [0] * g.n
+        self.ptr = self.indptr[:-1]  # the next slot each vertex scans
         self.max_level = 0
         self.work = 0
         # Buckets are allocated lazily: the height cap scales with 1/phi and
@@ -185,7 +167,7 @@ class _PushRelabel:
         self.level_heap: list[int] = []
         self.queued = bytearray(g.n)
         for v in range(g.n):
-            if self.mass[v] > inst.sink[v]:
+            if self.mass[v] > self.sink[v]:
                 self._enqueue(v, 0)
 
     def _enqueue(self, v: int, lvl: int) -> None:
@@ -197,61 +179,54 @@ class _PushRelabel:
         bucket.append(v)
         self.queued[v] = 1
 
-    def _residual(self, eid: int, frm: int) -> int:
-        u, v = self.edges[eid]
-        if u == v:
-            return 0
-        return self.cap - self.flow[eid] if frm == u else self.cap + self.flow[eid]
-
-    def _push(self, eid: int, frm: int, amount: int) -> None:
-        u, v = self.edges[eid]
-        if frm == u:
-            self.flow[eid] += amount
-            to = v
-        else:
-            self.flow[eid] -= amount
-            to = u
-        self.mass[frm] -= amount
-        self.mass[to] += amount
-        if (
-            self.mass[to] > self.inst.sink[to]
-            and self.level[to] < self.h
-            and not self.queued[to]
-        ):
-            self._enqueue(to, self.level[to])
-
     def _discharge(self, v: int) -> None:
-        edges = self.edges
-        sink_v = self.inst.sink[v]
-        adj = self.adj[v]
-        while self.mass[v] > sink_v:
-            if self.ptr[v] >= len(adj):
+        """Push v's excess down admissible slots, or relabel v.
+
+        Slot k's residual is cap - flow[inc[k]] when v is the edge's ``eu``
+        end, cap + flow[inc[k]] otherwise, and zero on a self-loop."""
+        inc, nbr, eu = self.inc, self.nbr, self.eu
+        flow, level, mass, sink = self.flow, self.level, self.mass, self.sink
+        cap, h = self.cap, self.h
+        sink_v = sink[v]
+        start, end = self.indptr[v], self.indptr[v + 1]
+        k = self.ptr[v]
+        while mass[v] > sink_v:
+            if k >= end:
                 # relabel to one above the lowest residual neighbor
-                new = self.h
-                for eid in adj:
-                    if self._residual(eid, v) > 0:
-                        u, w = edges[eid]
-                        other = w if u == v else u
-                        if self.level[other] + 1 < new:
-                            new = self.level[other] + 1
-                self.work += len(adj) + 1
-                self.ptr[v] = 0
-                self.level[v] = min(max(new, self.level[v] + 1), self.h)
-                if self.level[v] > self.max_level:
-                    self.max_level = self.level[v]
-                if self.level[v] < self.h:
-                    self._enqueue(v, self.level[v])
+                new = h
+                for j in range(start, end):
+                    w = nbr[j]
+                    if w == v:
+                        continue
+                    eid = inc[j]
+                    res = cap - flow[eid] if eu[eid] == v else cap + flow[eid]
+                    if res > 0 and level[w] + 1 < new:
+                        new = level[w] + 1
+                self.work += end - start + 1
+                self.ptr[v] = start
+                lv = min(max(new, level[v] + 1), h)
+                level[v] = lv
+                if lv > self.max_level:
+                    self.max_level = lv
+                if lv < h:
+                    self._enqueue(v, lv)
                 return
-            eid = adj[self.ptr[v]]
             self.work += 1
-            res = self._residual(eid, v)
-            if res > 0:
-                u, w = edges[eid]
-                other = w if u == v else u
-                if self.level[other] == self.level[v] - 1:
-                    self._push(eid, v, min(self.mass[v] - sink_v, res))
+            w = nbr[k]
+            if level[w] == level[v] - 1:  # never on a self-loop
+                eid = inc[k]
+                forward = eu[eid] == v
+                res = cap - flow[eid] if forward else cap + flow[eid]
+                if res > 0:
+                    amount = min(mass[v] - sink_v, res)
+                    flow[eid] += amount if forward else -amount
+                    mass[v] -= amount
+                    mass[w] += amount
+                    if mass[w] > sink[w] and level[w] < h and not self.queued[w]:
+                        self._enqueue(w, level[w])
                     continue
-            self.ptr[v] += 1
+            k += 1
+        self.ptr[v] = k
 
     def run(self, early_check=None, check_interval: int | None = None):
         """Run to quiescence; ``early_check(state) -> cut|None`` may stop it."""
@@ -267,7 +242,7 @@ class _PushRelabel:
                 continue
             v = bucket.popleft()
             self.queued[v] = 0
-            if self.level[v] != lvl or self.mass[v] <= self.inst.sink[v]:
+            if self.level[v] != lvl or self.mass[v] <= self.sink[v]:
                 continue
             self._discharge(v)
             if check_interval and self.work >= next_check:
@@ -351,14 +326,14 @@ def decompose_preflow(g: MultiGraph, pf: Preflow, inst: FlowInstance) -> list[li
     is emitted); flow cycles encountered along a walk are erased in place.
     Runs in O(total flow + m).
     """
-    edges = g.edges
     rem = [abs(f) for f in pf.flow]
+    flow = np.array(pf.flow, dtype=np.int64)
+    tail = np.where(flow > 0, g.eu, g.ev)
+    head = (g.eu + g.ev - tail).tolist()
     out_arcs: list[list[int]] = [[] for _ in range(g.n)]
-    for eid, f in enumerate(pf.flow):
-        if f > 0:
-            out_arcs[edges[eid][0]].append(eid)
-        elif f < 0:
-            out_arcs[edges[eid][1]].append(eid)
+    moving = np.flatnonzero(flow)
+    for eid, t in zip(moving.tolist(), tail[moving].tolist()):
+        out_arcs[t].append(eid)
     ptr = [0] * g.n
     sink_left = [pf.absorbed(v) for v in range(g.n)]
     excess_left = [pf.excess(v) for v in range(g.n)]
@@ -382,8 +357,7 @@ def decompose_preflow(g: MultiGraph, pf: Preflow, inst: FlowInstance) -> list[li
                     eid = out_arcs[v][ptr[v]]
                     if rem[eid] > 0:
                         rem[eid] -= 1
-                        u, w = edges[eid]
-                        nxt = w if pf.flow[eid] > 0 else u
+                        nxt = head[eid]
                         if nxt in pos:
                             # erase the flow cycle, keep the consumed units gone
                             j = pos[nxt]

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     DiagnosticFailure,
     InvalidInput,
@@ -28,8 +30,10 @@ from .graph import (
     Cut,
     MultiGraph,
     bfs_levels,
+    cut_edge_count,
     cut_stats,
     induced_subgraph,
+    masked_subgraph,
     path_congestion,
 )
 
@@ -140,13 +144,11 @@ def _edge_ids_along(g: MultiGraph, path: list[int], alive: bytearray) -> list[in
     """Pick one live edge id per consecutive path pair."""
     chosen = []
     taken: set[int] = set()
-    adj, edges = g.adj, g.edges
+    indptr, inc, nbr = g.slots
     for x, y in zip(path, path[1:]):
-        for eid in adj[x]:
-            if not alive[eid] or eid in taken:
-                continue
-            u, v = edges[eid]
-            if (u == x and v == y) or (u == y and v == x):
+        for k in range(indptr[x], indptr[x + 1]):
+            eid = inc[k]
+            if nbr[k] == y and alive[eid] and eid not in taken:
                 chosen.append(eid)
                 taken.add(eid)
                 break
@@ -191,9 +193,6 @@ def ball_grow_cut(h: MultiGraph, s_set, t_set, ell: int) -> frozenset[int]:
     s_balls = grown(s_set)
     t_balls = grown(t_set)
 
-    def crossing(side: frozenset[int]) -> int:
-        return sum(1 for u, v in h.edges if (u in side) != (v in side))
-
     # The growth argument guarantees a qualifying radius below ceil(ell/4);
     # the scan checks every radius (degenerate instances stabilize on their
     # component ball) and keeps the sparsest qualifying ball, breaking ties
@@ -205,7 +204,7 @@ def ball_grow_cut(h: MultiGraph, s_set, t_set, ell: int) -> frozenset[int]:
                 z = balls[j]
                 nxt = balls[j + 1]
                 if 2 * len(nxt) <= n:
-                    cross = crossing(z)
+                    cross = cut_edge_count(h, z)
                     if cross * ell < bound_num * len(z):
                         if best is None or cross * best[1] < best[0] * len(z):
                             best = (cross, len(z), j, rank, z)
@@ -283,9 +282,8 @@ def _cut_phase(
 ) -> Cut | None:
     """Peel ball cuts around far-apart families in the depleted graph."""
     n = g.n
-    live: list[tuple[int, int]] = [
-        e for eid, e in enumerate(g.edges) if alive[eid]
-    ]
+    live = np.frombuffer(alive, dtype=np.uint8).astype(bool)
+    keep = np.ones(n, dtype=bool)
     removed: set[int] = set()
     a_res = [set(a) for a, _ in residual]
     b_res = [set(b) for _, b in residual]
@@ -296,12 +294,9 @@ def _cut_phase(
         )
         if j is None:
             break
-        keep = sorted(set(range(n)) - removed)
-        sub_edges = [
-            (u, v) for u, v in live if u not in removed and v not in removed
-        ]
-        new_id = {v: i for i, v in enumerate(keep)}
-        h = MultiGraph(len(keep), [(new_id[u], new_id[v]) for u, v in sub_edges])
+        h, verts = masked_subgraph(g, keep, live)
+        idx = verts.tolist()
+        new_id = {v: i for i, v in enumerate(idx)}
         try:
             zball = ball_grow_cut(
                 h,
@@ -311,9 +306,9 @@ def _cut_phase(
             )
         except (PreconditionViolated, DiagnosticFailure):
             return None
-        back = {i: v for v, i in new_id.items()}
-        zorig = {back[i] for i in zball}
+        zorig = {idx[i] for i in zball}
         removed |= zorig
+        keep[list(zorig)] = False
         for i in range(len(residual)):
             a_res[i] -= zorig
             b_res[i] -= zorig

@@ -1,0 +1,75 @@
+"""Micro-benchmarks of Unit-Flow push-relabel on two benchmark instances.
+
+Not collected by the default ``test_*.py`` pattern; run them with
+
+    python -m pytest tests/bench_localflow.py --benchmark-only
+
+Each instance is the first ``bounded_push_relabel`` call of a workload in
+``perfbench/workloads.py`` at seed 1, captured by running the workload's
+op until that call:
+
+- ``prune_batches``: the first trimming round of ``expander_prune`` on the
+  160k-edge graph (oversized sources, no degree caps);
+- ``sparsest_planted``: the first matcher instance of the cut-matching
+  game, a degree-capped ``route_or_cut_1pair`` call (early level-cut
+  checks are off at this size).
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import balcut.localflow as localflow
+import balcut.pruning as pruning
+from balcut.localflow import bounded_push_relabel
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import PruneBatches, SparsestPlanted  # noqa: E402
+
+
+class _Captured(Exception):
+    pass
+
+
+def _first_call(module, workload):
+    """(instance, keyword arguments) of the op's first push-relabel call."""
+    seen = []
+
+    def capture(inst, **kw):
+        seen.append((inst, kw))
+        raise _Captured
+
+    real = module.bounded_push_relabel
+    module.bounded_push_relabel = capture
+    try:
+        workload.solve(workload.setup(1))
+    except _Captured:
+        pass
+    finally:
+        module.bounded_push_relabel = real
+    return seen[0]
+
+
+@pytest.fixture(scope="module")
+def trimming_round():
+    return _first_call(pruning, PruneBatches())
+
+
+@pytest.fixture(scope="module")
+def matcher_instance():
+    return _first_call(localflow, SparsestPlanted())
+
+
+def test_prune_batches_first_trimming_round(benchmark, trimming_round):
+    inst, kw = trimming_round
+    assert not inst.check_degree_caps
+    pf, excess, cut = benchmark(bounded_push_relabel, inst, **kw)
+    assert len(pf.flow) == inst.g.m
+
+
+def test_sparsest_planted_first_matcher_instance(benchmark, matcher_instance):
+    inst, kw = matcher_instance
+    assert inst.check_degree_caps
+    pf, excess, cut = benchmark(bounded_push_relabel, inst, **kw)
+    assert len(pf.flow) == inst.g.m

@@ -295,3 +295,29 @@ def test_prefix_and_singleton_scans_match_the_cut_stats_loop():
             assert _best_singleton_cut(g, objective) == _scan_reference(
                 g, [[v] for v in range(n)], objective
             )
+
+
+def test_solvers_leave_the_edge_tuple_view_unbuilt():
+    # Push-relabel, its preflow recount, the path decomposition, pruning and
+    # the sparsest-cut game read the arrays and the slot lists only; the
+    # lazy ``edges`` tuple view of the caller's graph stays unbuilt.
+    from balcut.generators import planted_expander_union
+    from balcut.localflow import PairRouting, route_or_cut_1pair
+    from balcut.pruning import expander_prune
+
+    planted, _ = planted_expander_union([20, 20], 6, [(0, 1)], 3)
+    edges = list(planted.edges)
+
+    g = MultiGraph(40, edges)
+    res = route_or_cut_1pair(g, range(20), range(20, 40), 2, Fraction(1, 4))
+    assert isinstance(res, PairRouting) and res.value >= 18
+    assert g._edges is None
+
+    g = MultiGraph(40, edges)
+    a_side, b_side = expander_prune(g, Fraction(1, 4), [0, 1, 2])
+    assert len(a_side) + len(b_side) == 40
+    assert g._edges is None
+
+    g = MultiGraph(40, edges)
+    assert sparsest_cut(g, 1).value == Fraction(1, 20)
+    assert g._edges is None

@@ -27,6 +27,8 @@ from balcut.graph import (
     find_bridges,
     induced_subgraph,
     is_connected,
+    path_congestion,
+    threshold_cut_counts,
 )
 from balcut.reduce import reduce_degree
 from balcut.spectral import adjacency_matrix
@@ -186,6 +188,14 @@ def test_out_of_range_edge_keeps_its_message():
         MultiGraph(3, [(0, -1)])
 
 
+def test_path_step_outside_the_vertex_range_is_a_non_edge():
+    # (0, 6) and (1, 2) share the key x * n + y = 6 at n = 4
+    g = MultiGraph(4, [(1, 2)])
+    assert path_congestion(g, [[2, 1]]) == 1
+    with pytest.raises(InvalidInput, match=r"non-edge \(0, 6\)"):
+        path_congestion(g, [[1, 2], [0, 6]])
+
+
 # ---------------------------------------------------------------------------
 # The array core against the tuple-of-tuples algorithms it replaced
 # ---------------------------------------------------------------------------
@@ -204,6 +214,25 @@ def ref_adj_deg(n, edges):
             adj[v].append(eid)
             deg[v] += 1
     return tuple(tuple(a) for a in adj), tuple(deg)
+
+
+def ref_other_ends(edges, adj):
+    """Per vertex, the other endpoint of each incident edge, in adj order."""
+    return tuple(
+        tuple(edges[eid][1] if edges[eid][0] == v else edges[eid][0] for eid in a)
+        for v, a in enumerate(adj)
+    )
+
+
+def slot_adjacency(g):
+    """The slot view regrouped per vertex: (edge ids, other endpoints)."""
+    indptr, inc, nbr = g.slots
+    assert (indptr, inc, nbr) == (g.indptr.tolist(), g.inc.tolist(), g.nbr.tolist())
+    spans = list(zip(indptr, indptr[1:]))
+    return (
+        tuple(tuple(inc[a:b]) for a, b in spans),
+        tuple(tuple(nbr[a:b]) for a, b in spans),
+    )
 
 
 def ref_components(n, edges, adj):
@@ -273,6 +302,31 @@ def ref_adjacency(n, edges):
     )
 
 
+def ref_path_congestion(edges, paths):
+    use, copies = {}, {}
+    for p in paths:
+        for x, y in zip(p, p[1:]):
+            key = (min(x, y), max(x, y))
+            use[key] = use.get(key, 0) + 1
+    for u, v in edges:
+        key = (min(u, v), max(u, v))
+        copies[key] = copies.get(key, 0) + 1
+    worst = 0
+    for key, cnt in use.items():
+        if key not in copies:
+            return f"path uses a non-edge {key}"
+        worst = max(worst, -(-cnt // copies[key]))
+    return worst
+
+
+def ref_threshold_counts(edges, deg, key, top):
+    below = [[key[v] < t for v in range(len(key))] for t in range(1, top + 1)]
+    return (
+        [sum(1 for u, v in edges if s[u] != s[v]) for s in below],
+        [sum(d for d, x in zip(deg, s) if x) for s in below],
+    )
+
+
 @st.composite
 def multigraphs(draw):
     """Small multigraphs with parallel edges, self-loops, isolated vertices
@@ -295,7 +349,10 @@ def test_array_core_matches_reference(case):
     g = MultiGraph(n, edges)
     adj, deg = ref_adj_deg(n, edges)
     assert g.edges == tuple(edges)
-    assert g.adj == adj
+    assert slot_adjacency(g) == (adj, ref_other_ends(edges, adj))
+    assert [list(g.neighbors(v)) for v in range(n)] == [
+        list(zip(a, w)) for a, w in zip(adj, ref_other_ends(edges, adj))
+    ]
     assert g.degrees() == deg
     assert g.volume() == sum(deg)
     assert connected_components(g) == ref_components(n, edges, adj)
@@ -306,7 +363,19 @@ def test_array_core_matches_reference(case):
     if side:
         sub, idx = induced_subgraph(g, side)
         assert (sub.n, sub.edges, idx) == ref_induced(edges, side)
-        assert sub.adj == ref_adj_deg(sub.n, sub.edges)[0]
+        sub_adj = ref_adj_deg(sub.n, sub.edges)[0]
+        assert slot_adjacency(sub) == (sub_adj, ref_other_ends(sub.edges, sub_adj))
+    key = [side.count(v) for v in range(n)]
+    for top in (1, 2, n + 1):
+        assert threshold_cut_counts(g, key, top) == ref_threshold_counts(
+            edges, deg, key, top
+        )
+    paths = [list(e) for e in edges[:5]] + [side]
+    try:
+        got = path_congestion(g, paths)
+    except InvalidInput as exc:
+        got = str(exc)
+    assert got == ref_path_congestion(edges, paths)
     a, ref = adjacency_matrix(g), ref_adjacency(n, edges)
     for field in ("indptr", "indices", "data"):
         got, want = getattr(a, field), getattr(ref, field)

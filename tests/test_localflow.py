@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from balcut.graph import MultiGraph, cut_stats
 from balcut.localflow import (
     FlowInstance,
     PairRouting,
+    Preflow,
     bounded_push_relabel,
     decompose_preflow,
     route_or_cut_1pair,
@@ -203,3 +205,218 @@ def test_pruning_style_relaxed_instance():
     pf.validate(inst)
     if excess > 0:
         assert cut is not None and cut.conductance < Fraction(1, 2)
+
+
+# Exact push-relabel outputs, pinned: flow, level and mass of the returned
+# preflow, its excess and the cut side.  Lowest-label-first FIFO discharge
+# with relabel-to-minimum is deterministic, so any change to the scan order,
+# the residuals or the work count that times the early checks shows here.
+
+def _two_copies_bridged(block):
+    edges = list(block.edges)
+    edges += [(block.n + u, block.n + v) for u, v in block.edges]
+    edges.append((0, block.n))
+    return MultiGraph(2 * block.n, edges)
+
+
+def _assert_pinned(inst, pinned, **kw):
+    pf, excess, cut = bounded_push_relabel(inst, **kw)
+    assert pf.flow == pinned["flow"]
+    assert pf.level == pinned["level"]
+    assert pf.mass == pinned["mass"]
+    assert excess == pinned["excess"]
+    assert (None if cut is None else sorted(cut.side)) == pinned["side"]
+
+
+def test_pinned_parallel_edges_and_self_loop():
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    edges = k4 + [(4 + i, 4 + j) for i, j in k4]
+    edges += [(0, 4), (1, 2), (5, 6), (3, 3)]
+    g = MultiGraph(8, edges)
+    deg = g.degrees()
+    source = [d if v < 4 else 0 for v, d in enumerate(deg)]
+    source[3] -= 2  # vertex 3's self-loop counts twice in its degree
+    sink = tuple(d if v >= 4 else 0 for v, d in enumerate(deg))
+    inst = FlowInstance(g, tuple(source), sink, Fraction(1, 2))
+    _assert_pinned(inst, dict(
+        flow=[-4, 0, 0, -4, 0, 0, 4, 0, 0, 0, 0, 0, 8, 0, 0, 0],
+        level=[49, 50, 49, 50, 1, 0, 0, 0],
+        mass=[0, 4, 0, 3, 4, 4, 0, 0],
+        excess=7,
+        side=[0, 1, 2, 3],
+    ))
+
+
+def _degree_capped_bridge():
+    from balcut.generators import random_regularish_graph
+
+    g = _two_copies_bridged(random_regularish_graph(16, 3, 5))
+    deg = g.degrees()
+    source = tuple(d if v < 16 else 0 for v, d in enumerate(deg))
+    sink = tuple(d if v >= 16 else 0 for v, d in enumerate(deg))
+    return FlowInstance(g, source, sink, Fraction(1, 4))
+
+
+def test_pinned_degree_capped_early_checks():
+    # The level-cut check after 250 units of work stops the run early: 42
+    # units of excess are left, against 33 at quiescence (next test).
+    _assert_pinned(_degree_capped_bridge(), dict(
+        flow=[0] * 13 + [3] + [0] * 5 + [3] + [0] * 8 + [3] + [0] * 19 + [7],
+        level=[2, 4, 3, 2, 3, 3, 2, 3, 2, 3, 3, 3, 3, 2, 3, 3, 1] + [0] * 15,
+        mass=[3, 3, 3, 0] + [3] * 9 + [0, 3, 3, 4] + [0] * 14 + [3],
+        excess=42,
+        side=list(range(16)),
+    ), early_cut_volume=8, check_interval=250)
+
+
+def test_pinned_degree_capped_quiescent():
+    _assert_pinned(_degree_capped_bridge(), dict(
+        flow=[3, -6, -3, -6, -9, 3, 3, -6, 3, -3, 0, 0, 9, 3, 6, 3, 3, 3, 0,
+              3, 0, 0, 0, 0, -3, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, -3, -6,
+              0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16],
+        level=[114, 114, 113, 114, 114, 114, 114, 113, 113, 114, 113, 114,
+               114, 113, 114, 114, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+               0, 0, 1],
+        mass=[3, 3, 0, 3, 3, 3, 3, 0, 0, 3, 0, 3, 3, 0, 3, 3, 4, 0, 3, 3,
+              0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 3],
+        excess=33,
+        side=list(range(16)),
+    ))
+
+
+def test_pinned_without_degree_caps():
+    from balcut.generators import random_regularish_graph
+
+    g = _two_copies_bridged(random_regularish_graph(8, 4, 2))
+    source = [0] * g.n
+    source[0], source[3] = 20, 9  # above deg = 4: a trimming-style charge
+    sink = tuple(d if v >= 8 else 0 for v, d in enumerate(g.degrees()))
+    inst = FlowInstance(g, tuple(source), sink, Fraction(1, 3),
+                        check_degree_caps=False)
+    _assert_pinned(inst, dict(
+        flow=[-5, 12, -12, -8, 0, 0, -4, 0, 0, 12, 0, 0, 0, 0, 0, -12, 0, 0,
+              0, -7, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 12],
+        level=[85, 86, 85, 85, 85, 86, 85, 85, 1, 0, 0, 0, 0, 0, 0, 1],
+        mass=[0, 12, 0, 0, 0, 5, 0, 0, 5, 0, 0, 3, 0, 0, 0, 4],
+        excess=17,
+        side=list(range(8)),
+    ))
+
+
+@pytest.mark.parametrize("flow, mass, message", [
+    ([9, 0, 0], [1, 0, 0, 0], "edge congestion above cap"),
+    ([1, 0, 0], [0, 0, 1, 0], "mass mismatch at vertex 1"),
+    ([2, 1, 0], [-1, 1, 1, 0], "negative mass at vertex 0"),
+    # the first offending vertex decides which check reports
+    ([2, 0, 0], [-1, 3, 0, 0], "negative mass at vertex 0"),
+    ([0, 2, 0], [0, -2, 2, 0], "mass mismatch at vertex 0"),
+])
+def test_validate_reports_the_first_violation(flow, mass, message):
+    g = MultiGraph(4, [(0, 1), (1, 2), (2, 3)])
+    inst = FlowInstance(g, (1, 0, 0, 0), (0, 0, 0, 1), Fraction(1, 2))  # cap 8
+    pf = Preflow(flow, [0] * 4, mass, inst.source, inst.sink)
+    with pytest.raises(InternalInvariantBroken, match=f"^{message}$"):
+        pf.validate(inst)
+
+
+def _bridged_blocks(size, degree, seed):
+    from balcut.generators import random_regularish_graph
+
+    return _two_copies_bridged(random_regularish_graph(size, degree, seed))
+
+
+@pytest.mark.parametrize("case", [
+    # (graph, A, B, z, psi, early check interval)
+    ("regular", 100, 4, 1, 20, 30, 0, Fraction(1, 4), None),
+    ("regular", 500, 3, 4, 100, 100, 5, Fraction(1, 2), 2000),
+    # the bridge carries at most 64 units: max flow 64 < |A|, and a cut
+    ("bridged", 150, 3, 5, 150, 150, 10, Fraction(1, 4), 5000),
+    ("bridged", 100, 3, 7, 70, 70, 10, Fraction(1, 4), None),
+    ("bridged", 120, 4, 2, 40, 60, 0, Fraction(1, 8), None),
+])
+def test_route_or_cut_1pair_against_networkx_max_flow(case):
+    """A routing never beats the max flow from A to B under the per-edge
+    cap ceil(4 Delta / psi), and a returned cut recounts to its delta."""
+    nx = pytest.importorskip("networkx")
+    from balcut.generators import random_regularish_graph
+
+    kind, size, degree, seed, na, nb, z, psi, interval = case
+    if kind == "regular":
+        g = random_regularish_graph(size, degree, seed)
+        order = random.Random(seed).sample(range(g.n), na + nb)
+        a_side, b_side = order[:na], order[na:]
+    else:
+        g = _bridged_blocks(size, degree, seed)
+        a_side, b_side = list(range(na)), list(range(size, size + nb))
+    res = route_or_cut_1pair(g, a_side, b_side, z, psi,
+                             early_check_interval=interval)
+    cap = math.ceil(4 * g.max_degree() / psi)
+    net = nx.DiGraph()
+    for u, v in g.edges:
+        if u != v:
+            for x, y in ((u, v), (v, u)):
+                old = net.get_edge_data(x, y, {"capacity": 0})["capacity"]
+                net.add_edge(x, y, capacity=old + cap)
+    for a in a_side:
+        net.add_edge("s", a, capacity=1)
+    for b in b_side:
+        net.add_edge(b, "t", capacity=1)
+    max_flow = nx.maximum_flow_value(net, "s", "t")
+    if isinstance(res, PairRouting):
+        assert len(a_side) - z <= res.value <= max_flow
+        assert res.congestion <= cap
+    else:
+        multi = nx.MultiGraph(list(g.edges))
+        assert res.delta == nx.cut_size(multi, res.side)
+        assert res.sparsity <= psi
+
+
+def _level_cut_reference(g, level, phi, max_level, needed_volume=0):
+    """The per-edge loop ``_best_level_cut`` used before it counted through
+    ``threshold_cut_counts``."""
+    total_vol = g.volume()
+    diff = [0] * (max_level + 2)
+    for u, v in g.edges:
+        lo, hi = sorted((min(level[u], max_level + 1), min(level[v], max_level + 1)))
+        if lo < hi:
+            diff[lo + 1] += 1
+            if hi + 1 <= max_level + 1:
+                diff[hi + 1] -= 1
+    vol_at = [0] * (max_level + 2)
+    for v, d in enumerate(g.degrees()):
+        vol_at[min(level[v], max_level + 1)] += d
+    best, delta, suffix = None, 0, total_vol
+    for i in range(1, max_level + 1):
+        delta += diff[i]
+        suffix -= vol_at[i - 1]
+        if suffix <= 0 or suffix >= total_vol:
+            continue
+        minvol = min(suffix, total_vol - suffix)
+        if minvol < needed_volume or delta * phi.denominator >= phi.numerator * minvol:
+            continue
+        if (best is None or delta * best[1] < best[0] * minvol
+                or (delta * best[1] == best[0] * minvol and minvol > best[1])):
+            best = (delta, minvol, i)
+    if best is None:
+        return None
+    return frozenset(v for v in range(g.n) if level[v] >= best[2]), best[2]
+
+
+def test_best_level_cut_matches_the_loop_reference():
+    from balcut.localflow import _best_level_cut
+
+    rng = random.Random(11)
+    hits = 0
+    for trial in range(300):
+        n = rng.randint(2, 14)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 30))]
+        edges += edges[: rng.randint(0, 3)]  # parallel copies
+        g = MultiGraph(n, edges)
+        max_level = rng.randint(0, 6)
+        level = [rng.randint(0, max_level + 1) for _ in range(n)]
+        phi = Fraction(rng.randint(1, 4), rng.randint(4, 9))
+        needed = rng.choice([0, 0, 2, 5])
+        want = _level_cut_reference(g, level, phi, max_level, needed)
+        assert _best_level_cut(g, level, phi, max_level, needed) == want
+        hits += want is not None
+    assert hits > 50

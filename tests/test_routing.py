@@ -185,3 +185,65 @@ def test_many_ab_cut_trivial_bound():
     g = complete_graph(6)
     cut = many_ab_cut(g, [({0}, {1})])
     assert cut.conductance <= Fraction(30 * log2ceil(g.m), 1)
+
+
+def _cut_phase_reference(g, residual, alive, ell, z, psi_bound):
+    """``_cut_phase`` as it was before it peeled through ``masked_subgraph``:
+    each round rebuilds the live host by hand with a dict relabel."""
+    from balcut.errors import DiagnosticFailure
+
+    n = g.n
+    live = [e for eid, e in enumerate(g.edges) if alive[eid]]
+    removed = set()
+    a_res = [set(a) for a, _ in residual]
+    b_res = [set(b) for _, b in residual]
+    while len(removed) <= n // 4:
+        j = next((i for i in range(len(residual)) if a_res[i] and b_res[i]), None)
+        if j is None:
+            break
+        keep = sorted(set(range(n)) - removed)
+        new_id = {v: i for i, v in enumerate(keep)}
+        h = MultiGraph(len(keep), [(new_id[u], new_id[v]) for u, v in live
+                                   if u not in removed and v not in removed])
+        try:
+            zball = ball_grow_cut(h, {new_id[v] for v in a_res[j]},
+                                  {new_id[v] for v in b_res[j]}, ell)
+        except (PreconditionViolated, DiagnosticFailure):
+            return None
+        zorig = {keep[i] for i in zball}
+        removed |= zorig
+        for i in range(len(residual)):
+            a_res[i] -= zorig
+            b_res[i] -= zorig
+    if not removed or len(removed) >= n:
+        return None
+    cut = cut_stats(g, removed)
+    if cut.sparsity <= psi_bound and 2 * min(len(removed), n - len(removed)) >= z:
+        return cut
+    return None
+
+
+def test_cut_phase_matches_the_dict_relabel_reference():
+    import random
+
+    from balcut.routing import _cut_phase
+
+    rng = random.Random(5)
+    peeled = 0
+    for trial in range(80):
+        n = rng.randint(24, 60)
+        edges = [(v, (v + 1) % n) for v in range(n)]  # a cycle plus chords
+        edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 4))]
+        edges = [(u, v) for u, v in edges if u != v]
+        g = MultiGraph(n, edges)
+        alive = bytearray(int(rng.random() < 0.9) for _ in edges)
+        terminals = rng.sample(range(n), 8)
+        residual = [({terminals[0], terminals[1]}, {terminals[2]}),
+                    ({terminals[3]}, {terminals[4], terminals[5]}),
+                    ({terminals[6]}, {terminals[7]})]
+        ell = rng.randint(2, 5)
+        args = (g, residual, alive, ell, rng.randint(0, 4), Fraction(rng.randint(1, 6), 2))
+        want = _cut_phase_reference(*args)
+        assert _cut_phase(*args) == want
+        peeled += want is not None and want.size > 2 * ell
+    assert peeled >= 5
