@@ -3,13 +3,25 @@
 The solver routes integral source mass to degree-capacity sinks under a
 per-edge congestion cap of ceil(4/phi) and a vertex-level cap of
 ceil((4/phi) * log2ceil(2m)) + 2.  If mass remains unabsorbed, some level
-cut {v : level(v) >= i} has conductance below phi; the solver scans every
-level threshold, recounts exactly, and returns the sparsest qualifying cut,
-so the contract is self-enforcing rather than assumed.  All arithmetic is
-integral; phi is an exact rational.
+cut {v : level(v) >= i} has conductance below phi; the solver scans each
+distinct level cut, recounts exactly, and returns the sparsest qualifying
+cut, so the contract is self-enforcing rather than assumed.  All arithmetic
+is integral; phi is an exact rational.
 
 Push order is lowest-label first with FIFO buckets and relabel-to-minimum,
 which keeps runs deterministic.
+
+Gap rule (Cherkassky and Goldberg): when a relabel empties a level L,
+every vertex above L is lifted to the height cap at once.  A sink below
+its capacity is never active, so it stays at level 0; and while any vertex
+has excess, total source <= total sink leaves such a sink, so level 0 never
+empties and L >= 1.  Valid labels forbid a residual edge that drops two
+levels, so no mass above L can reach level 0 again.  Excess above the gap
+only moves between saturated vertices, so its total is already final;
+without the rule it would climb one relabel at a time to the cap.
+Discharges below the gap go on unchanged, and so do all the recounts.
+``_best_level_cut`` scores occupied levels only, so its cost does not grow
+with the cap that lifted vertices sit at.
 """
 
 from __future__ import annotations
@@ -118,13 +130,21 @@ def _best_level_cut(g: MultiGraph, level: Sequence[int], phi: Fraction,
 
     Only thresholds whose smaller side volume reaches ``needed_volume``
     qualify.  Returns (side frozenset, threshold) or None.
+
+    The side changes only at occupied levels, and an equal side never wins
+    the strict tie-break, so only the first threshold of each run of equal
+    sides is scored: the level after each occupied one.  Levels are ranked
+    first, so the cost is O(n log n + m), whatever ``max_level`` is.
     """
     if max_level < 1:
         return None
     total_vol = g.volume()
-    crossing, below = threshold_cut_counts(g, level, max_level)
+    occupied, rank = np.unique(level, return_inverse=True)
+    crossing, below = threshold_cut_counts(g, rank, len(occupied) - 1)
     best = None  # (delta, minvol, i)
-    for i, (delta, vol_below) in enumerate(zip(crossing, below), 1):
+    for i, delta, vol_below in zip((occupied[:-1] + 1).tolist(), crossing, below):
+        if i > max_level:
+            break
         suffix = total_vol - vol_below
         if suffix <= 0 or suffix >= total_vol:
             continue
@@ -161,6 +181,10 @@ class _PushRelabel:
         self.ptr = self.indptr[:-1]  # the next slot each vertex scans
         self.max_level = 0
         self.work = 0
+        # count[l]: vertices at level l < h.  A relabel lands at most one
+        # level above the list, or at h, so the list grows by append.
+        self.count = [g.n]
+        self.gaps = 0
         # Buckets are allocated lazily: the height cap scales with 1/phi and
         # can dwarf the number of levels ever touched.
         self.buckets: dict[int, deque[int]] = {}
@@ -204,11 +228,21 @@ class _PushRelabel:
                         new = level[w] + 1
                 self.work += end - start + 1
                 self.ptr[v] = start
-                lv = min(max(new, level[v] + 1), h)
+                old = level[v]
+                lv = min(max(new, old + 1), h)
                 level[v] = lv
+                count = self.count
+                count[old] -= 1
+                if not count[old]:
+                    self._gap(old)  # lifts v as well
+                    return
                 if lv > self.max_level:
                     self.max_level = lv
                 if lv < h:
+                    if lv == len(count):
+                        count.append(1)
+                    else:
+                        count[lv] += 1
                     self._enqueue(v, lv)
                 return
             self.work += 1
@@ -227,6 +261,15 @@ class _PushRelabel:
                     continue
             k += 1
         self.ptr[v] = k
+
+    def _gap(self, old: int) -> None:
+        """Level ``old`` just emptied: lift every vertex above it to h,
+        where it is never discharged again (see the module docstring)."""
+        h = self.h
+        self.level[:] = [h if old < x < h else x for x in self.level]
+        del self.count[old + 1:]
+        self.max_level = h
+        self.gaps += 1
 
     def run(self, early_check=None, check_interval: int | None = None):
         """Run to quiescence; ``early_check(state) -> cut|None`` may stop it."""

@@ -141,16 +141,16 @@ def greedy_pack_round(
 
 
 def _edge_ids_along(g: MultiGraph, path: list[int], alive: bytearray) -> list[int]:
-    """Pick one live edge id per consecutive path pair."""
+    """Pick the lowest live edge id for each consecutive path pair.
+
+    ES-tree paths are simple, so no pair repeats within one path."""
     chosen = []
-    taken: set[int] = set()
     indptr, inc, nbr = g.slots
     for x, y in zip(path, path[1:]):
         for k in range(indptr[x], indptr[x + 1]):
             eid = inc[k]
-            if nbr[k] == y and alive[eid] and eid not in taken:
+            if nbr[k] == y and alive[eid]:
                 chosen.append(eid)
-                taken.add(eid)
                 break
         else:
             raise DiagnosticFailure("path step without a live edge")

@@ -1,4 +1,4 @@
-"""Micro-benchmarks of Unit-Flow push-relabel on two benchmark instances.
+"""Micro-benchmarks of Unit-Flow push-relabel on three benchmark instances.
 
 Not collected by the default ``test_*.py`` pattern; run them with
 
@@ -12,7 +12,11 @@ op until that call:
   160k-edge graph (oversized sources, no degree caps);
 - ``sparsest_planted``: the first matcher instance of the cut-matching
   game, a degree-capped ``route_or_cut_1pair`` call (early level-cut
-  checks are off at this size).
+  checks are off at this size).  Its excess is stranded, so the gap
+  heuristic fires;
+- ``decompose_planted``: the first matcher instance of the decomposition,
+  where an early level-cut check stops the run at level 3.  No gap fires,
+  so it times the level bookkeeping on a gap-free run.
 """
 
 import sys
@@ -25,7 +29,7 @@ import balcut.pruning as pruning
 from balcut.localflow import bounded_push_relabel
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import PruneBatches, SparsestPlanted  # noqa: E402
+from workloads import DecomposePlanted, PruneBatches, SparsestPlanted  # noqa: E402
 
 
 class _Captured(Exception):
@@ -61,6 +65,11 @@ def matcher_instance():
     return _first_call(localflow, SparsestPlanted())
 
 
+@pytest.fixture(scope="module")
+def early_stopped_instance():
+    return _first_call(localflow, DecomposePlanted())
+
+
 def test_prune_batches_first_trimming_round(benchmark, trimming_round):
     inst, kw = trimming_round
     assert not inst.check_degree_caps
@@ -73,3 +82,11 @@ def test_sparsest_planted_first_matcher_instance(benchmark, matcher_instance):
     assert inst.check_degree_caps
     pf, excess, cut = benchmark(bounded_push_relabel, inst, **kw)
     assert len(pf.flow) == inst.g.m
+
+
+def test_decompose_planted_first_matcher_instance(benchmark, early_stopped_instance):
+    inst, kw = early_stopped_instance
+    assert kw["early_cut_volume"] is not None
+    pf, excess, cut = benchmark(bounded_push_relabel, inst, **kw)
+    # a gap would have lifted at least one vertex to the height cap
+    assert cut is not None and max(pf.level) < inst.height_cap

@@ -1,9 +1,12 @@
+import heapq
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
+import balcut.localflow as localflow
 from balcut.errors import InternalInvariantBroken, InvalidInput
 from balcut.generators import complete_graph, random_connected_graph
 from balcut.graph import MultiGraph, cut_stats
@@ -211,6 +214,7 @@ def test_pruning_style_relaxed_instance():
 # preflow, its excess and the cut side.  Lowest-label-first FIFO discharge
 # with relabel-to-minimum is deterministic, so any change to the scan order,
 # the residuals or the work count that times the early checks shows here.
+# A block stranded above a gap is lifted to the height cap as a whole.
 
 def _two_copies_bridged(block):
     edges = list(block.edges)
@@ -240,7 +244,7 @@ def test_pinned_parallel_edges_and_self_loop():
     inst = FlowInstance(g, tuple(source), sink, Fraction(1, 2))
     _assert_pinned(inst, dict(
         flow=[-4, 0, 0, -4, 0, 0, 4, 0, 0, 0, 0, 0, 8, 0, 0, 0],
-        level=[49, 50, 49, 50, 1, 0, 0, 0],
+        level=[50, 50, 50, 50, 1, 0, 0, 0],
         mass=[0, 4, 0, 3, 4, 4, 0, 0],
         excess=7,
         side=[0, 1, 2, 3],
@@ -271,13 +275,11 @@ def test_pinned_degree_capped_early_checks():
 
 def test_pinned_degree_capped_quiescent():
     _assert_pinned(_degree_capped_bridge(), dict(
-        flow=[3, -6, -3, -6, -9, 3, 3, -6, 3, -3, 0, 0, 9, 3, 6, 3, 3, 3, 0,
-              3, 0, 0, 0, 0, -3, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, -3, -6,
+        flow=[3, 3, 0, 0, -3, 0, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0,
+              6, 0, 0, 0, 0, -3, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, -3, -6,
               0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16],
-        level=[114, 114, 113, 114, 114, 114, 114, 113, 113, 114, 113, 114,
-               114, 113, 114, 114, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-               0, 0, 1],
-        mass=[3, 3, 0, 3, 3, 3, 3, 0, 0, 3, 0, 3, 3, 0, 3, 3, 4, 0, 3, 3,
+        level=[114] * 16 + [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+        mass=[3, 3, 0, 0, 0, 3, 3, 3, 3, 3, 3, 3, 3, 0, 3, 0, 4, 0, 3, 3,
               0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 3],
         excess=33,
         side=list(range(16)),
@@ -296,7 +298,7 @@ def test_pinned_without_degree_caps():
     _assert_pinned(inst, dict(
         flow=[-5, 12, -12, -8, 0, 0, -4, 0, 0, 12, 0, 0, 0, 0, 0, -12, 0, 0,
               0, -7, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 12],
-        level=[85, 86, 85, 85, 85, 86, 85, 85, 1, 0, 0, 0, 0, 0, 0, 1],
+        level=[86] * 8 + [1, 0, 0, 0, 0, 0, 0, 1],
         mass=[0, 12, 0, 0, 0, 5, 0, 0, 5, 0, 0, 3, 0, 0, 0, 4],
         excess=17,
         side=list(range(8)),
@@ -420,3 +422,189 @@ def test_best_level_cut_matches_the_loop_reference():
         assert _best_level_cut(g, level, phi, max_level, needed) == want
         hits += want is not None
     assert hits > 50
+
+
+def test_best_level_cut_scores_only_occupied_levels(monkeypatch):
+    """Levels near 10**6, as after a gap lifts a block to the height cap:
+    same answer as the loop over every threshold, counted over ranks."""
+    from balcut.localflow import _best_level_cut
+
+    real = localflow.threshold_cut_counts
+    tops = []
+
+    def counting(g, key, top):
+        tops.append(top)
+        return real(g, key, top)
+
+    monkeypatch.setattr(localflow, "threshold_cut_counts", counting)
+    rng = random.Random(7)
+    hits = 0
+    for trial in range(2):
+        n = rng.randint(8, 14)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+        g = MultiGraph(n, edges)
+        max_level = 10**6 - trial
+        pool = [0, 1, 2, 3, max_level - 1, max_level, max_level + 1, 2 * 10**6]
+        level = [rng.choice(pool) for _ in range(n)]
+        want = _level_cut_reference(g, level, Fraction(9, 10), max_level)
+        assert _best_level_cut(g, level, Fraction(9, 10), max_level) == want
+        hits += want is not None
+    assert hits >= 2
+    assert max(tops) < 8  # one threshold per occupied level, not per level
+
+
+class _GapFreePushRelabel:
+    """``_PushRelabel`` before the gap heuristic: stranded excess climbs
+    one relabel at a time to the height cap."""
+
+    def __init__(self, inst):
+        g = inst.g
+        self.sink = inst.sink
+        self.indptr, self.inc, self.nbr = g.slots
+        self.eu = g.eu.tolist()
+        self.cap = inst.congestion_cap
+        self.h = inst.height_cap
+        self.flow = [0] * g.m
+        self.level = [0] * g.n
+        self.mass = list(inst.source)
+        self.ptr = self.indptr[:-1]
+        self.max_level = 0
+        self.work = 0
+        self.buckets = {}
+        self.level_heap = []
+        self.queued = bytearray(g.n)
+        for v in range(g.n):
+            if self.mass[v] > self.sink[v]:
+                self._enqueue(v, 0)
+
+    def _enqueue(self, v, lvl):
+        bucket = self.buckets.get(lvl)
+        if bucket is None:
+            bucket = deque()
+            self.buckets[lvl] = bucket
+            heapq.heappush(self.level_heap, lvl)
+        bucket.append(v)
+        self.queued[v] = 1
+
+    def _discharge(self, v):
+        inc, nbr, eu = self.inc, self.nbr, self.eu
+        flow, level, mass, sink = self.flow, self.level, self.mass, self.sink
+        cap, h = self.cap, self.h
+        sink_v = sink[v]
+        start, end = self.indptr[v], self.indptr[v + 1]
+        k = self.ptr[v]
+        while mass[v] > sink_v:
+            if k >= end:
+                new = h
+                for j in range(start, end):
+                    w = nbr[j]
+                    if w == v:
+                        continue
+                    eid = inc[j]
+                    res = cap - flow[eid] if eu[eid] == v else cap + flow[eid]
+                    if res > 0 and level[w] + 1 < new:
+                        new = level[w] + 1
+                self.work += end - start + 1
+                self.ptr[v] = start
+                lv = min(max(new, level[v] + 1), h)
+                level[v] = lv
+                if lv > self.max_level:
+                    self.max_level = lv
+                if lv < h:
+                    self._enqueue(v, lv)
+                return
+            self.work += 1
+            w = nbr[k]
+            if level[w] == level[v] - 1:
+                eid = inc[k]
+                forward = eu[eid] == v
+                res = cap - flow[eid] if forward else cap + flow[eid]
+                if res > 0:
+                    amount = min(mass[v] - sink_v, res)
+                    flow[eid] += amount if forward else -amount
+                    mass[v] -= amount
+                    mass[w] += amount
+                    if mass[w] > sink[w] and level[w] < h and not self.queued[w]:
+                        self._enqueue(w, level[w])
+                    continue
+            k += 1
+        self.ptr[v] = k
+
+    run = localflow._PushRelabel.run
+
+
+def _two_blocks(size, degree, seed, bridges):
+    from balcut.generators import random_regularish_graph
+
+    block = random_regularish_graph(size, degree, seed)
+    edges = list(block.edges)
+    edges += [(size + u, size + v) for u, v in block.edges]
+    rng = random.Random(seed)
+    edges += [(rng.randrange(size), size + rng.randrange(size))
+              for _ in range(bridges)]
+    return MultiGraph(2 * size, edges)
+
+
+def _stranding_instance(kind, seed):
+    """Block A holds more mass than the bridges can carry to block B."""
+    rng = random.Random(seed)
+    size = rng.choice([10, 12, 16, 20])
+    bridges = {"bridged": 1, "disconnected": 0, "trimming": 2}[kind]
+    g = _two_blocks(size, rng.randint(3, 4), seed, bridges)
+    deg = g.degrees()
+    phi = Fraction(1, rng.choice([2, 3, 4]))
+    if kind == "trimming":
+        # sinks everywhere, charges piled on a few vertices of A
+        source = [0] * g.n
+        vol_a = sum(deg[:size])
+        while sum(source) < vol_a + 2 * math.ceil(4 / phi) + 1:
+            source[rng.randrange(size)] += rng.randint(1, 2 * max(deg))
+        return FlowInstance(g, tuple(source), tuple(deg), phi,
+                            check_degree_caps=False)
+    source = tuple(d if v < size else 0 for v, d in enumerate(deg))
+    sink = tuple(d if v >= size else rng.randint(0, d // 2)
+                 for v, d in enumerate(deg))
+    return FlowInstance(g, source, sink, phi)
+
+
+@pytest.mark.parametrize("kind", ["bridged", "disconnected", "trimming"])
+def test_gap_heuristic_matches_the_gap_free_solver(kind, monkeypatch):
+    for seed in range(6):
+        inst = _stranding_instance(kind, seed)
+        solver = localflow._PushRelabel(inst)
+        solver.run()
+        assert solver.gaps >= 1
+        # the per-level counts still match the levels below the cap
+        below_cap = [x for x in solver.level if x < inst.height_cap]
+        assert max(below_cap) < len(solver.count)
+        assert solver.count == [below_cap.count(lvl)
+                                for lvl in range(len(solver.count))]
+        pf, excess, cut = bounded_push_relabel(inst)
+        assert excess > 0
+        with monkeypatch.context() as m:
+            m.setattr(localflow, "_PushRelabel", _GapFreePushRelabel)
+            ref_pf, ref_excess, ref_cut = bounded_push_relabel(inst)
+        assert excess == ref_excess
+        assert cut.side == ref_cut.side
+        # below the gap the preflow is untouched
+        below = [v for v in range(inst.g.n) if pf.level[v] < inst.height_cap]
+        assert [pf.level[v] for v in below] == [ref_pf.level[v] for v in below]
+
+
+def test_work_does_not_grow_with_the_height_cap():
+    # Two copies of a block and no bridge: all of A's mass is stranded.
+    # Without the gap rule the work grows with h (9,541 units at h = 114
+    # and 150,661 at h = 1,794 on this instance).
+    g = _two_blocks(16, 3, 5, bridges=0)
+    deg = g.degrees()
+    source = tuple(d if v < 16 else 0 for v, d in enumerate(deg))
+    sink = tuple(d if v >= 16 else 0 for v, d in enumerate(deg))
+    seen = set()
+    for q in (4, 16, 64):
+        inst = FlowInstance(g, source, sink, Fraction(1, q))
+        solver = localflow._PushRelabel(inst)
+        solver.run()
+        assert solver.gaps == 1
+        assert solver.level[:16] == [inst.height_cap] * 16
+        seen.add(solver.work)
+    assert seen == {189}

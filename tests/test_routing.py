@@ -247,3 +247,18 @@ def test_cut_phase_matches_the_dict_relabel_reference():
         assert _cut_phase(*args) == want
         peeled += want is not None and want.size > 2 * ell
     assert peeled >= 5
+
+
+def test_edge_ids_along_take_the_lowest_live_parallel_copy():
+    from balcut.errors import DiagnosticFailure
+    from balcut.routing import _edge_ids_along
+
+    g = MultiGraph(4, [(1, 2), (0, 1), (2, 1), (0, 1), (2, 3), (1, 2)])
+    alive = bytearray([1] * g.m)
+    assert _edge_ids_along(g, [0, 1, 2, 3], alive) == [1, 0, 4]
+    assert _edge_ids_along(g, [3, 2, 1, 0], alive) == [4, 0, 1]
+    alive[0] = alive[1] = 0
+    assert _edge_ids_along(g, [0, 1, 2, 3], alive) == [3, 2, 4]
+    alive[4] = 0
+    with pytest.raises(DiagnosticFailure):
+        _edge_ids_along(g, [1, 2, 3], alive)
