@@ -62,17 +62,17 @@ class FlowInstance:
             raise InvalidInput("source/sink functions must cover every vertex")
         if not (0 < self.phi <= 1):
             raise InvalidInput(f"phi must lie in (0, 1], got {self.phi}")
-        if any(s < 0 for s in self.source) or any(t < 0 for t in self.sink):
+        source, sink = np.asarray(self.source), np.asarray(self.sink)
+        if (source < 0).any() or (sink < 0).any():
             raise InvalidInput("source and sink values must be nonnegative")
-        if sum(self.source) > sum(self.sink):
+        if source.sum() > sink.sum():
             raise InvalidInput("total source mass exceeds total sink capacity")
         if self.check_degree_caps:
-            deg = g.degrees()
-            for v in range(g.n):
-                if self.source[v] > deg[v] or self.sink[v] > deg[v]:
-                    raise InvalidInput(
-                        f"vertex {v}: source/sink exceeds its degree"
-                    )
+            over = (source > g.deg) | (sink > g.deg)
+            if over.any():
+                raise InvalidInput(
+                    f"vertex {int(over.argmax())}: source/sink exceeds its degree"
+                )
 
     @property
     def congestion_cap(self) -> int:
@@ -101,8 +101,7 @@ class Preflow:
         return self.mass[v] - self.absorbed(v)
 
     def total_excess(self) -> int:
-        return sum(self.mass[v] - min(self.mass[v], self.sink[v])
-                   for v in range(len(self.mass)))
+        return int(np.maximum(np.asarray(self.mass) - np.asarray(self.sink), 0).sum())
 
     def validate(self, inst: FlowInstance) -> None:
         """Exact recount of every preflow invariant; raises on violation."""
@@ -139,6 +138,7 @@ def _best_level_cut(g: MultiGraph, level: Sequence[int], phi: Fraction,
     if max_level < 1:
         return None
     total_vol = g.volume()
+    level = np.asarray(level)
     occupied, rank = np.unique(level, return_inverse=True)
     crossing, below = threshold_cut_counts(g, rank, len(occupied) - 1)
     best = None  # (delta, minvol, i)
@@ -163,7 +163,7 @@ def _best_level_cut(g: MultiGraph, level: Sequence[int], phi: Fraction,
     if best is None:
         return None
     i = best[2]
-    side = frozenset(v for v in range(g.n) if level[v] >= i)
+    side = frozenset(np.flatnonzero(level >= i).tolist())
     return side, i
 
 

@@ -78,6 +78,12 @@ def test_instance_validation():
     g = complete_graph(3)
     with pytest.raises(InvalidInput):
         FlowInstance(g, (5, 0, 0), (0, 0, 5), Fraction(1, 2))  # above degree
+    with pytest.raises(InvalidInput, match="^vertex 1: "):  # the first offender
+        FlowInstance(g, (0, 3, 0), (0, 0, 3), Fraction(1, 2))
+    with pytest.raises(InvalidInput, match="^vertex 2: "):  # a sink above degree
+        FlowInstance(g, (0, 0, 0), (0, 0, 3), Fraction(1, 2))
+    with pytest.raises(InvalidInput, match="nonnegative"):
+        FlowInstance(g, (0, 0, 0), (0, -1, 0), Fraction(1, 2))
     with pytest.raises(InvalidInput):
         FlowInstance(g, (1, 1, 0), (0, 0, 1), Fraction(1, 2))  # sources > sinks
     with pytest.raises(InvalidInput):

@@ -1,17 +1,23 @@
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from balcut.expanders import gabber_galil
+from balcut.expanders import construct_expander, gabber_galil
 from balcut.generators import (
     barbell_graph,
     complete_graph,
     cycle_graph,
+    path_graph,
     random_connected_graph,
+    star_graph,
 )
 from balcut.graph import MultiGraph, brute_force_extremum
 from balcut.spectral import (
+    _start_vector,
     adjacency_matrix,
     certified_floor,
     cheeger_floor,
@@ -76,3 +82,115 @@ def test_certified_floor_picks_oracle_or_cheeger():
         assert certified_floor(g, objective) == brute_force_extremum(g, objective)[1]
     big = gabber_galil(6)
     assert certified_floor(big, "conductance") == cheeger_floor(big)
+
+
+def reference_lambda2(g, tol=1e-10, max_iter=400):
+    """Lanczos with full reorthogonalization against the whole
+    (steps + 1) x n basis: the reference for the three-term recurrence."""
+    n = g.n
+    deg = np.array(g.degrees(), dtype=np.float64)
+    a = adjacency_matrix(g)
+    dinv = 1.0 / np.sqrt(deg)
+    v1 = np.sqrt(deg)
+    v1 /= np.linalg.norm(v1)
+    q = _start_vector(n)
+    q -= v1 * (v1 @ q)
+    q /= np.linalg.norm(q)
+    steps = min(max_iter, n - 1)
+    basis = np.empty((steps + 1, n))
+    basis[0] = q
+    alphas, betas = [], []
+    for k in range(steps):
+        w = basis[k] - dinv * (a @ (dinv * basis[k]))
+        alphas.append(float(basis[k] @ w))
+        w -= alphas[-1] * basis[k]
+        if k > 0:
+            w -= betas[-1] * basis[k - 1]
+        w -= v1 * (v1 @ w)
+        w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
+        beta = float(np.linalg.norm(w))
+        last = beta < 1e-14 or k == steps - 1
+        if last or k % 8 == 7:
+            evals, evecs = eigh_tridiagonal(
+                np.array(alphas), np.array(betas),
+                select="i", select_range=(0, 0),
+            )
+            if last or beta * abs(float(evecs[-1, 0])) < tol:
+                return max(float(evals[0]), 0.0)
+        betas.append(beta)
+        basis[k + 1] = w / beta
+
+
+def _random_tree(n, seed):
+    rng = random.Random(seed)
+    return MultiGraph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def _hypercube(d):
+    return MultiGraph(1 << d, [(v, v | 1 << b) for v in range(1 << d)
+                               for b in range(d) if not v >> b & 1])
+
+
+def _grid(rows, cols):
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return MultiGraph(rows * cols, edges)
+
+
+def _differential_corpus():
+    for n in range(2, 40):
+        yield f"path{n}", path_graph(n)
+    for n in range(1, 40):
+        yield f"star{n}", star_graph(n)
+    for seed in range(30):
+        yield f"tree{seed}", _random_tree(5 + 7 * seed, seed)
+    for d in range(1, 10):
+        yield f"cube{d}", _hypercube(d)
+    for rows, cols in ((2, 2), (3, 5), (5, 5), (4, 13), (8, 12), (10, 30)):
+        yield f"grid{rows}x{cols}", _grid(rows, cols)
+    for k in range(2, 16):
+        yield f"barbell{k}", barbell_graph(k)
+    for n in range(17, 201):
+        yield f"expander{n}", construct_expander(n)
+    for seed in range(30):
+        yield f"random{seed}", random_connected_graph(10 + 6 * seed, 0.15, seed)
+
+
+# lambda2 * 2^29 within 1e-6 of an integer: the Cheeger floor rounds an exact
+# dyadic lambda2 / 2, so a last-bit difference may move it by one step.
+# Stars have lambda2 = 1, hypercubes 2/d, and construct_expander(17) 1/2.
+DYADIC = {f"star{n}" for n in range(1, 40)} | {
+    "path2", "path3", "path4", "cube1", "cube2", "cube4", "cube8",
+    "grid2x2", "barbell2", "expander17",
+}
+
+
+def test_recurrence_matches_full_reorthogonalization():
+    scale = 1 << 29
+    near = set()
+    for name, g in _differential_corpus():
+        lam, ref = lambda2_normalized(g), reference_lambda2(g)
+        assert abs(lam - ref) <= 1e-12, name
+        if g.n <= 200:
+            assert abs(lam - dense_lambda2(g)) <= 1e-8, name
+        ref_floor = Fraction(max(int(ref / 2 * (1 << 30)), 0), 1 << 30)
+        if abs(lam * scale - round(lam * scale)) <= 1e-6:
+            near.add(name)
+            assert abs(cheeger_floor(g) - ref_floor) <= Fraction(1, 1 << 30), name
+        else:
+            assert cheeger_floor(g) == ref_floor, name
+    assert near == DYADIC
+
+
+def test_memory_is_linear_in_n():
+    """No Krylov basis: the peak stays a small multiple of n floats, where
+    the reorthogonalized solver stored about 190 basis vectors."""
+    lambda2_normalized(construct_expander(50))  # first-use imports
+    g = construct_expander(20000)
+    tracemalloc.start()
+    try:
+        lambda2_normalized(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * g.n * 8
