@@ -36,7 +36,6 @@ from .driver import (
 from .errors import BalcutError
 from .estree import ESTree
 from .expanders import (
-    compose_expanders,
     construct_expander,
     expander_sparsity_floor,
     gabber_galil,
@@ -65,9 +64,7 @@ from .routing import (
     PartialRouting,
     ball_grow_cut,
     greedy_pack_round,
-    many_ab_cut,
     route_or_cut,
-    single_ab_cut,
 )
 from .spectral import certified_floor, cheeger_floor, lambda2_normalized
 
@@ -100,7 +97,6 @@ __all__ = [
     "certified_floor",
     "cheeger_floor",
     "cmg_drive",
-    "compose_expanders",
     "construct_expander",
     "cut_or_certify",
     "cut_stats",
@@ -117,13 +113,11 @@ __all__ = [
     "lambda2_normalized",
     "lowest_conductance_cut",
     "make_canonical",
-    "many_ab_cut",
     "partition_into_matchings",
     "project_cut",
     "reduce_degree",
     "route_or_cut",
     "route_or_cut_1pair",
-    "single_ab_cut",
     "sparse_cut_or_expander",
     "sparsest_cut",
     "walk_potential",

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands: decompose, balcut, sparsest, lowcond, certify, prune, gen,
-verify, bench.  Exit codes: 0 success, 1 usage, 2 input error, 3 internal
+verify.  Exit codes: 0 success, 1 usage, 2 input error, 3 internal
 invariant failure.  Every algorithm is deterministic; the only randomness
 lives behind ``gen random --seed``.  Reports omit wall-clock timings unless
 ``--timings`` is passed, so identical inputs produce byte-identical output.
@@ -30,7 +30,7 @@ from .driver import (
     sparsest_cut,
     WitnessResult,
 )
-from .errors import BalcutError, InternalInvariantBroken, InvalidInput, ParseError
+from .errors import BalcutError, InternalInvariantBroken, InvalidInput
 from .expanders import construct_expander, gabber_galil
 from .generators import barbell_graph, random_graph
 from .graph import MultiGraph, brute_force_extremum, cut_stats
@@ -125,8 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=["sparsest", "conductance"], required=True)
     p.add_argument("graph")
     p.add_argument("cut", help="partition file; cluster 0 is the cut side")
-
-    p = sub.add_parser("bench", help="small deterministic benchmark")
     return top
 
 
@@ -237,34 +235,10 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _parse_deleted(path: str, g: MultiGraph) -> list[int]:
-    pair_ids: dict[tuple[int, int], list[int]] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        pair_ids.setdefault((min(u, v), max(u, v)), []).append(eid)
-    out: list[int] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) == 1:
-                out.append(int(parts[0]))
-            elif len(parts) == 2:
-                key = (min(int(parts[0]), int(parts[1])),
-                       max(int(parts[0]), int(parts[1])))
-                ids = pair_ids.get(key)
-                if not ids:
-                    raise ParseError(f"line {lineno}: no remaining edge {key}")
-                out.append(ids.pop(0))
-            else:
-                raise ParseError(f"line {lineno}: expected 'eid' or 'u v'")
-    return out
-
-
 def _cmd_prune(args) -> int:
     g = _open_graph(args.graph, args.allow_self_loops)
-    deleted = _parse_deleted(args.deleted, g)
+    with open(args.deleted) as fh:
+        deleted = fileio.parse_deleted(fh, g)
     t0 = time.perf_counter()
     a, b = expander_prune(g, args.phi, deleted)
     dead = set(deleted)
@@ -327,24 +301,6 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    rows = []
-    for name, build in (
-        ("gabber_galil_8", lambda: gabber_galil(8)),
-        ("expander_200", lambda: construct_expander(200)),
-        ("balcut_barbell_8", lambda: barbell_graph(8, 1)),
-    ):
-        t0 = time.perf_counter()
-        g = build()
-        if name.startswith("balcut"):
-            bal_cut_prune(g, Fraction(1, 4), 1)
-        dt = time.perf_counter() - t0
-        rows.append({"case": name, "n": g.n, "m": g.m})
-        print(f"# {name}: {dt * 1000:.1f} ms", file=sys.stderr)
-    fileio.write_report({"command": "bench", "cases": rows}, sys.stdout)
-    return 0
-
-
 def dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     try:
@@ -368,8 +324,6 @@ def dispatch(argv: list[str]) -> int:
             return _cmd_gen(args)
         if args.command == "verify":
             return _cmd_verify(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         return 1
     except InternalInvariantBroken as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)

@@ -30,7 +30,6 @@ from .errors import (
     InternalInvariantBroken,
     InvalidInput,
     InvalidParam,
-    ParamError,
 )
 from .graph import (
     Cut,
@@ -58,7 +57,7 @@ def _player_params(r: int, params: CutPlayerParams | None) -> CutPlayerParams:
     if params is None:
         return CutPlayerParams(r=r)
     if params.r != r:
-        raise ParamError(f"r={r} disagrees with the cut player's r={params.r}")
+        raise InvalidParam(f"r={r} disagrees with the cut player's r={params.r}")
     return params
 
 
@@ -203,9 +202,9 @@ def bal_cut_prune(
     """
     phi = Fraction(phi)
     if not (0 < phi <= 1):
-        raise ParamError(f"phi must lie in (0, 1], got {phi}")
+        raise InvalidParam(f"phi must lie in (0, 1], got {phi}")
     if r < 1:
-        raise ParamError("r must be at least 1")
+        raise InvalidParam("r must be at least 1")
     g.reject_self_loops("bal_cut_prune")
     if g.m < 1:
         raise InvalidInput("bal_cut_prune needs at least one edge")

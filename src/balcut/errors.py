@@ -37,10 +37,6 @@ class PreconditionViolated(InvalidInput):
     """A documented structural precondition failed at call time."""
 
 
-class ParamError(InvalidInput):
-    """A driver-level parameter floor was violated."""
-
-
 class ParseError(InvalidInput):
     """A graph or cut file could not be parsed."""
 

@@ -1,4 +1,4 @@
-"""Explicit constant-degree expander constructions and expander composition.
+"""Explicit constant-degree expander constructions and the composition check.
 
 The base construction places, for each vertex (x, y) of the k x k torus, the
 eight neighbors (x +- 2y, y), (x +- (2y+1), y), (x, y +- 2x), (x, y +- (2x+1))
@@ -133,8 +133,11 @@ def _check_composition(
     block_sizes: list[int],
     matchings: dict[int, list[tuple[int, int]]],
 ) -> None:
-    """Raise CompositionError unless ``compose_expanders`` can glue blocks of
-    these sizes along ``core`` with these matchings (see there)."""
+    """Raise CompositionError unless blocks of these sizes glue along
+    ``core``: ``matchings[eid]`` pairs, for core edge ``eid = (i, j)``, N
+    block-local vertices of block i with N of block j, with distinct
+    endpoints on each side, one N for every edge and N <= every block size.
+    The composed graph itself is never built."""
     if len(block_sizes) != core.n:
         raise CompositionError(
             f"core has {core.n} vertices but {len(block_sizes)} blocks were given"
@@ -155,34 +158,3 @@ def _check_composition(
             if not (0 <= u < block_sizes[i] and 0 <= v < block_sizes[j]):
                 raise CompositionError(f"core edge {eid}: endpoint outside its block")
 
-
-def compose_expanders(
-    core: MultiGraph,
-    blocks: list[MultiGraph],
-    matchings: dict[int, list[tuple[int, int]]],
-) -> tuple[MultiGraph, list[list[int]]]:
-    """Glue block expanders along a core expander.
-
-    ``matchings[eid]`` lists, for core edge ``eid = (i, j)``, exactly N
-    vertex pairs (block-local ids) between block i and block j, with
-    distinct endpoints on each side within that matching.  N must satisfy
-    N <= |V(block)| <= gamma*N for all blocks; the caller picks N implicitly
-    through the matching cardinalities, which must all be equal.
-
-    Returns the composed graph on the disjoint union of the block vertex
-    sets plus the per-block global id ranges.
-    """
-    _check_composition(core, [b.n for b in blocks], matchings)
-    offsets = []
-    total = 0
-    for b in blocks:
-        offsets.append(total)
-        total += b.n
-    edges = []
-    for bi, b in enumerate(blocks):
-        off = offsets[bi]
-        edges.extend((off + u, off + v) for u, v in b.edges)
-    for eid, (i, j) in enumerate(core.edges):
-        edges.extend((offsets[i] + u, offsets[j] + v) for u, v in matchings[eid])
-    ranges = [list(range(offsets[i], offsets[i] + blocks[i].n)) for i in range(len(blocks))]
-    return MultiGraph(total, edges), ranges

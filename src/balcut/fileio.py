@@ -3,7 +3,8 @@
 Graph files: an optional header line ``p <n> <m>``, then one edge per line
 ``u v`` with 0-based vertex ids; ``#`` starts a comment, blank lines are
 ignored.  Parallel edges are kept verbatim.  Partition files: one line per
-vertex, ``v cluster_id``, sorted by vertex.  Reports are JSON with sorted
+vertex, ``v cluster_id``, sorted by vertex.  Deletion files: one deleted
+edge per line, as an edge id or as ``u v``.  Reports are JSON with sorted
 keys; fractions are serialized as ``"p/q"`` strings so round-trips are
 exact and byte-stable.
 """
@@ -98,6 +99,33 @@ def parse_partition(stream: IO[str], n: int) -> list[int]:
     if any(c < 0 for c in labels):
         raise ParseError("partition does not cover every vertex")
     return labels
+
+
+def parse_deleted(stream: IO[str], g: MultiGraph) -> list[int]:
+    """Edge ids of the deletion-file lines.  A line ``u v`` names the
+    lowest-id copy of that edge of ``g`` that no earlier ``u v`` line named."""
+    pair_ids: dict[tuple[int, ...], list[int]] = {}
+    for eid, (u, v) in enumerate(g.edges):
+        pair_ids.setdefault((min(u, v), max(u, v)), []).append(eid)
+    out: list[int] = []
+    for lineno, raw in enumerate(stream, start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if len(parts) > 2:
+            raise ParseError(f"line {lineno}: expected 'eid' or 'u v'")
+        try:
+            fields = [int(x) for x in parts]
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer field")
+        key = tuple(sorted(fields))
+        if len(key) == 1:
+            out.append(key[0])
+        elif pair_ids.get(key):
+            out.append(pair_ids[key].pop(0))
+        else:
+            raise ParseError(f"line {lineno}: no remaining edge {key}")
+    return out
 
 
 def _jsonable(value):

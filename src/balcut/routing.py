@@ -32,7 +32,6 @@ from .graph import (
     bfs_levels,
     cut_edge_count,
     cut_stats,
-    induced_subgraph,
     masked_subgraph,
     path_congestion,
 )
@@ -320,75 +319,3 @@ def _cut_phase(
         return cut
     return None
 
-
-def single_ab_cut(g: MultiGraph, a_set, b_set) -> Cut:
-    """BFS-ball cut separating A from B with Phi <= 10*log2ceil(m)/dist(A,B).
-
-    Disconnected pairs yield a zero-conductance separating component cut.
-    """
-    a_set = frozenset(a_set)
-    b_set = frozenset(b_set)
-    if not a_set or not b_set or a_set & b_set:
-        raise InvalidInput("A and B must be nonempty and disjoint")
-    dist_a = bfs_levels(g, sorted(a_set))
-    dist = min(dist_a[t] for t in b_set)
-    total_vol = g.volume()
-    if dist == float("inf"):
-        side = {v for v in range(g.n) if dist_a[v] != float("inf")}
-        if g.volume(side) > total_vol // 2:
-            side = set(range(g.n)) - side
-        cut = cut_stats(g, side)
-        assert cut.delta == 0
-        return cut
-    el = int(dist)
-    if el == 0:
-        raise InvalidInput("A and B touch; no separating ball exists")
-    bound = Fraction(10 * log2ceil(max(g.m, 2)), el)
-    dist_b = bfs_levels(g, sorted(b_set))
-    radius = max((el - 1) // 3, 0)
-
-    best = None
-    for source_dist, other in ((dist_a, b_set), (dist_b, a_set)):
-        for r in range(radius + 1):
-            side = frozenset(v for v in range(g.n) if source_dist[v] <= r)
-            if side & other or len(side) == g.n:
-                continue
-            cut = cut_stats(g, side)
-            if 2 * cut.vol_s > total_vol:
-                continue
-            if cut.conductance <= bound:
-                return cut
-            if best is None or cut.conductance < best.conductance:
-                best = cut
-    if best is not None and min(bound, Fraction(1)) >= 1:
-        return best
-    raise DiagnosticFailure("no qualifying separating ball found")
-
-
-def many_ab_cut(g: MultiGraph, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> Cut:
-    """Iterated single-pair peeling over k far-apart families.
-
-    Returns S separating every pair, with Phi <= 30*log2ceil(m)/L and
-    nu/2 <= Vol(S) <= Vol(G)/2 for L = min distance and nu the summed
-    smaller-side volumes, all recounted by the caller's tests.
-    """
-    if not pairs:
-        raise InvalidInput("need at least one terminal pair")
-    total_vol = g.volume()
-    removed: set[int] = set()
-    for a_raw, b_raw in pairs:
-        a_cur = set(a_raw) - removed
-        b_cur = set(b_raw) - removed
-        if not a_cur or not b_cur:
-            continue
-        keep = sorted(set(range(g.n)) - removed)
-        h, idx = induced_subgraph(g, keep)
-        new_id = {v: i for i, v in enumerate(idx)}
-        sub = single_ab_cut(h, {new_id[v] for v in a_cur}, {new_id[v] for v in b_cur})
-        removed |= {idx[i] for i in sub.side}
-        if 2 * g.volume(removed) >= total_vol:
-            complement = set(range(g.n)) - removed
-            return cut_stats(g, complement)
-    if not removed or len(removed) >= g.n:
-        raise DiagnosticFailure("peeling produced no proper cut")
-    return cut_stats(g, removed)

@@ -45,11 +45,16 @@ def _start_vector(n: int) -> np.ndarray:
     return np.cos(0.7 * idx + 0.3) + 1e-3 * (idx % 7)
 
 
-def lambda2_normalized(g: MultiGraph, tol: float = 1e-10, max_iter: int = 400) -> float:
+LANCZOS_TOL = 1e-10  # residual bound that accepts the smallest Ritz value
+LANCZOS_MAX_STEPS = 400  # step cap, further capped at n - 1
+
+
+def lambda2_normalized(g: MultiGraph) -> float:
     """Second-smallest eigenvalue of I - D^{-1/2} A D^{-1/2}.
 
     Every 8 steps, the smallest Ritz value is returned once its residual
-    bound beta * |s_k| is below ``tol``; also at breakdown or the step cap.
+    bound beta * |s_k| is below ``LANCZOS_TOL``; also at breakdown or the
+    step cap ``LANCZOS_MAX_STEPS``.
 
     Returns 0.0 for disconnected graphs (lambda2 is genuinely 0 there) and
     for graphs with fewer than two vertices.
@@ -74,7 +79,7 @@ def lambda2_normalized(g: MultiGraph, tol: float = 1e-10, max_iter: int = 400) -
 
     from scipy.linalg import eigh_tridiagonal
 
-    steps = min(max_iter, n - 1)
+    steps = min(LANCZOS_MAX_STEPS, n - 1)
     prev, beta = np.zeros(n), 0.0
     alphas: list[float] = []
     betas: list[float] = []
@@ -91,7 +96,7 @@ def lambda2_normalized(g: MultiGraph, tol: float = 1e-10, max_iter: int = 400) -
                 np.array(alphas), np.array(betas),
                 select="i", select_range=(0, 0),
             )
-            if last or beta * abs(float(evecs[-1, 0])) < tol:
+            if last or beta * abs(float(evecs[-1, 0])) < LANCZOS_TOL:
                 return max(float(evals[0]), 0.0)
         betas.append(beta)
         prev, q = q, w / beta

@@ -1,12 +1,20 @@
+import argparse
 import io
 import json
 from fractions import Fraction
 
 import pytest
 
-from balcut.cli import dispatch
+from balcut.cli import _build_parser, dispatch
 from balcut.errors import ParseError, RangeError
-from balcut.fileio import parse_graph, parse_partition, write_graph, write_partition, write_report
+from balcut.fileio import (
+    parse_deleted,
+    parse_graph,
+    parse_partition,
+    write_graph,
+    write_partition,
+    write_report,
+)
 from balcut.generators import barbell_graph
 from balcut.graph import MultiGraph
 
@@ -53,6 +61,16 @@ def test_partition_round_trip():
     write_partition([0, 0, 1, 1], buf)
     labels = parse_partition(io.StringIO(buf.getvalue()), 4)
     assert labels == [0, 0, 1, 1]
+
+
+def test_parse_deleted_ids_and_pairs():
+    g = MultiGraph(3, [(0, 1), (1, 2), (1, 0)])
+    text = "# comment\n1\n1 0\n0 1  # second copy\n"
+    assert parse_deleted(io.StringIO(text), g) == [1, 0, 2]
+    with pytest.raises(ParseError, match="line 1: no remaining edge"):
+        parse_deleted(io.StringIO("0 2\n"), g)
+    with pytest.raises(ParseError, match="line 1: expected 'eid' or 'u v'"):
+        parse_deleted(io.StringIO("0 1 2\n"), g)
 
 
 def test_report_round_trips_and_is_stable():
@@ -155,6 +173,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert dispatch(["balcut", "--phi", "1/4", str(bad)]) == 2
     assert dispatch(["nonsense"]) == 1
     assert dispatch(["balcut", "--phi", "1/4", str(tmp_path / "missing.txt")]) == 2
+    capsys.readouterr()
+    k4 = tmp_path / "k4.txt"
+    with open(k4, "w") as fh:
+        write_graph(MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), fh)
+    dels = tmp_path / "del.txt"
+    for line in ("x", "0 x"):  # non-integer deletion tokens
+        dels.write_text(f"1\n{line}\n")
+        assert dispatch(["prune", "--phi", "1/2", "--deleted", str(dels), str(k4)]) == 2
+        assert capsys.readouterr().err == "error: line 2: non-integer field\n"
 
 
 def test_cli_certify_diagnostics(graph_file, capsys):
@@ -165,3 +192,12 @@ def test_cli_certify_diagnostics(graph_file, capsys):
         trace = report["potential_trace"]
         assert trace[0] == 0.0
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
+
+
+def test_cli_subcommands(capsys):
+    (sub,) = [a for a in _build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {
+        "decompose", "balcut", "sparsest", "lowcond", "certify", "prune", "gen", "verify",
+    }
+    assert dispatch(["bench"]) == 1

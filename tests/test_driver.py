@@ -130,19 +130,19 @@ def test_bal_cut_prune_named_families():
 
 def test_bal_cut_prune_rejects_bad_params():
     g = complete_graph(4)
-    from balcut.errors import InvalidInput, ParamError
+    from balcut.errors import InvalidInput, InvalidParam
 
-    with pytest.raises(ParamError):
+    with pytest.raises(InvalidParam):
         bal_cut_prune(g, Fraction(3, 2), 1)
     with pytest.raises(InvalidInput):
         bal_cut_prune(MultiGraph(3, []), Fraction(1, 2), 1)
 
 
 def test_bal_cut_prune_rejects_mismatched_r():
-    from balcut.errors import ParamError
+    from balcut.errors import InvalidParam
 
     g = barbell_graph(6, 2)
-    with pytest.raises(ParamError):
+    with pytest.raises(InvalidParam):
         bal_cut_prune(g, Fraction(1, 4), 2, CutPlayerParams())
     res = bal_cut_prune(g, Fraction(1, 4), 2, CutPlayerParams(r=2))
     assert res.report == bal_cut_prune(g, Fraction(1, 4), 2).report

@@ -7,7 +7,6 @@ from balcut.errors import CompositionError, DegreeTooHigh, InvalidParam
 from balcut.expanders import (
     TORUS_SPARSITY,
     _check_composition,
-    compose_expanders,
     construct_expander,
     expander_sparsity_floor,
     gabber_galil,
@@ -109,40 +108,18 @@ def test_partition_rejects_high_degree():
         partition_into_matchings(complete_graph(11))
 
 
-def test_compose_two_k4_blocks():
-    core = MultiGraph(2, [(0, 1)])
-    blocks = [complete_graph(4), complete_graph(4)]
-    matchings = {0: [(0, 0), (1, 1), (2, 2), (3, 3)]}
-    composed, ranges = compose_expanders(core, blocks, matchings)
-    assert composed.n == 8
-    assert ranges == [[0, 1, 2, 3], [4, 5, 6, 7]]
-    assert graph_sparsity(composed) > 0
-
-
-def test_compose_identity():
-    core = MultiGraph(1, [])
-    block = complete_graph(5)
-    composed, _ = compose_expanders(core, [block], {})
-    assert composed.n == 5 and composed.m == block.m
-
-
-def test_compose_triangle_core():
-    core = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
-    blocks = [construct_expander(5) for _ in range(3)]
-    matchings = {eid: [(i, i) for i in range(5)] for eid in range(3)}
-    composed, _ = compose_expanders(core, blocks, matchings)
-    assert composed.n == 15
-    assert is_connected(composed)
-    assert composed.max_degree() <= blocks[0].max_degree() + core.max_degree()
-
-
 def test_compose_sparsity_bound():
-    # Psi(composed) >= psi * psi' / (16 * Delta * gamma^2) with measured inputs.
+    # Psi(composed) >= psi * psi' / (16 * Delta * gamma^2) with measured
+    # inputs: two K7 blocks glued along a single core edge by the identity
+    # matching, the shape the cut player's psi_comp bound rests on.
     core = MultiGraph(2, [(0, 1)])
-    blocks = [complete_graph(7), complete_graph(7)]
-    matchings = {0: [(i, i) for i in range(7)]}
-    composed, _ = compose_expanders(core, blocks, matchings)
-    psi = min(graph_sparsity(b) for b in blocks)
+    k7 = complete_graph(7)
+    matching = [(i, i) for i in range(7)]
+    _check_composition(core, [7, 7], {0: matching})
+    edges = list(k7.edges) + [(u + 7, v + 7) for u, v in k7.edges]
+    edges += [(u, v + 7) for u, v in matching]
+    composed = MultiGraph(14, edges)
+    psi = graph_sparsity(k7)
     psi_core = graph_sparsity(core)
     gamma = Fraction(1)
     bound = psi * psi_core / (16 * core.max_degree() * gamma * gamma)
@@ -151,30 +128,23 @@ def test_compose_sparsity_bound():
 
 def test_compose_rejects_bad_matchings():
     core = MultiGraph(2, [(0, 1)])
-    blocks = [complete_graph(4), complete_graph(4)]
     with pytest.raises(CompositionError):
-        compose_expanders(core, blocks, {0: [(0, 0), (0, 1)]})  # repeated left endpoint
+        _check_composition(core, [4, 4], {0: [(0, 0), (0, 1)]})  # repeated left endpoint
     with pytest.raises(CompositionError):
-        compose_expanders(core, blocks, {0: [(0, 9)]})  # endpoint outside block
+        _check_composition(core, [4, 4], {0: [(0, 9)]})  # endpoint outside block
     with pytest.raises(CompositionError):
-        compose_expanders(core, [complete_graph(4)], {0: []})  # block count mismatch
+        _check_composition(core, [4], {0: []})  # block count mismatch
 
 
 def test_check_composition_rejects_what_compose_rejects():
     core = MultiGraph(2, [(0, 1)])
-    blocks = [complete_graph(4), complete_graph(4)]
     bad = [
-        (core, blocks, {0: [(0, 0), (0, 1)]}),  # repeated left endpoint
-        (core, blocks, {0: [(0, 9)]}),  # endpoint outside block
-        (core, [complete_graph(4)], {0: []}),  # block count mismatch
-        (core, blocks, {}),  # no matching for the core edge
+        (core, [4, 4], {}),  # no matching for the core edge
         # more pairs than the block the core edge does not touch
-        (MultiGraph(3, [(0, 1)]), blocks + [complete_graph(1)], {0: [(0, 0), (1, 1)]}),
-        (MultiGraph(2, [(0, 0)]), blocks, {0: []}),  # self-loop in the core
+        (MultiGraph(3, [(0, 1)]), [4, 4, 1], {0: [(0, 0), (1, 1)]}),
+        (MultiGraph(2, [(0, 0)]), [4, 4], {0: []}),  # self-loop in the core
     ]
-    for c, bs, matchings in bad:
+    for c, sizes, matchings in bad:
         with pytest.raises(CompositionError):
-            compose_expanders(c, bs, matchings)
-        with pytest.raises(CompositionError):
-            _check_composition(c, [b.n for b in bs], matchings)
+            _check_composition(c, sizes, matchings)
     _check_composition(core, [4, 4], {0: [(i, i) for i in range(4)]})

@@ -16,9 +16,7 @@ from balcut.routing import (
     ball_grow_cut,
     greedy_pack_round,
     log2ceil,
-    many_ab_cut,
     route_or_cut,
-    single_ab_cut,
 )
 
 
@@ -132,59 +130,6 @@ def test_ball_grow_precondition():
     g = path_graph(5)
     with pytest.raises(PreconditionViolated):
         ball_grow_cut(g, {0}, {3}, 4)
-
-
-def test_single_ab_cut_path_ends():
-    g = path_graph(40)
-    cut = single_ab_cut(g, {0}, {39})
-    bound = Fraction(10 * log2ceil(g.m), 39)
-    assert cut.conductance <= bound
-    assert 2 * cut.vol_s <= g.volume()
-    assert (0 in cut.side) != (39 in cut.side)
-
-
-def test_single_ab_cut_close_sets():
-    g = complete_graph(5)
-    cut = single_ab_cut(g, {0}, {3})
-    assert cut.conductance <= 1  # bound >= 1 makes any ball qualify
-    assert (0 in cut.side) != (3 in cut.side)
-
-
-def test_single_ab_cut_disconnected():
-    g = MultiGraph(5, [(0, 1), (2, 3), (3, 4)])
-    cut = single_ab_cut(g, {0}, {2})
-    assert cut.delta == 0
-    assert (0 in cut.side) != (2 in cut.side)
-
-
-def test_many_ab_cut_matches_single_up_to_slack():
-    g = path_graph(40)
-    single = single_ab_cut(g, {0}, {39})
-    many = many_ab_cut(g, [({0}, {39})])
-    el = 39
-    assert many.conductance <= 3 * Fraction(10 * log2ceil(g.m), el)
-    assert single.conductance <= Fraction(10 * log2ceil(g.m), el)
-
-
-def test_many_ab_cut_separates_every_pair():
-    g = path_graph(60)
-    pairs = [({0}, {19}), ({30}, {59})]
-    cut = many_ab_cut(g, pairs)
-    side = cut.side
-    for a, b in pairs:
-        a_in = all(v in side for v in a)
-        a_out = all(v not in side for v in a)
-        b_in = all(v in side for v in b)
-        b_out = all(v not in side for v in b)
-        assert (a_in and b_out) or (a_out and b_in)
-    nu = sum(min(g.volume(a), g.volume(b)) for a, b in pairs)
-    assert 2 * g.volume(cut.side if 2 * cut.vol_s <= g.volume() else set(range(g.n)) - cut.side) >= nu
-
-
-def test_many_ab_cut_trivial_bound():
-    g = complete_graph(6)
-    cut = many_ab_cut(g, [({0}, {1})])
-    assert cut.conductance <= Fraction(30 * log2ceil(g.m), 1)
 
 
 def _cut_phase_reference(g, residual, alive, ell, z, psi_bound):

@@ -17,6 +17,8 @@ from balcut.generators import (
 )
 from balcut.graph import MultiGraph, brute_force_extremum
 from balcut.spectral import (
+    LANCZOS_MAX_STEPS,
+    LANCZOS_TOL,
     _start_vector,
     adjacency_matrix,
     certified_floor,
@@ -84,7 +86,7 @@ def test_certified_floor_picks_oracle_or_cheeger():
     assert certified_floor(big, "conductance") == cheeger_floor(big)
 
 
-def reference_lambda2(g, tol=1e-10, max_iter=400):
+def reference_lambda2(g):
     """Lanczos with full reorthogonalization against the whole
     (steps + 1) x n basis: the reference for the three-term recurrence."""
     n = g.n
@@ -96,7 +98,7 @@ def reference_lambda2(g, tol=1e-10, max_iter=400):
     q = _start_vector(n)
     q -= v1 * (v1 @ q)
     q /= np.linalg.norm(q)
-    steps = min(max_iter, n - 1)
+    steps = min(LANCZOS_MAX_STEPS, n - 1)
     basis = np.empty((steps + 1, n))
     basis[0] = q
     alphas, betas = [], []
@@ -115,7 +117,7 @@ def reference_lambda2(g, tol=1e-10, max_iter=400):
                 np.array(alphas), np.array(betas),
                 select="i", select_range=(0, 0),
             )
-            if last or beta * abs(float(evecs[-1, 0])) < tol:
+            if last or beta * abs(float(evecs[-1, 0])) < LANCZOS_TOL:
                 return max(float(evals[0]), 0.0)
         betas.append(beta)
         basis[k + 1] = w / beta
