@@ -103,9 +103,12 @@ def parse_partition(stream: IO[str], n: int) -> list[int]:
 
 def parse_deleted(stream: IO[str], g: MultiGraph) -> list[int]:
     """Edge ids of the deletion-file lines.  A line ``u v`` names the
-    lowest-id copy of that edge of ``g`` that no earlier ``u v`` line named."""
+    lowest-id copy of that edge of ``g`` that no earlier line named, by
+    id or by endpoints.  Ids outside ``g`` and repeated ids are passed
+    through for the caller to reject."""
     pair_ids: dict[tuple[int, ...], list[int]] = {}
-    for eid, (u, v) in enumerate(g.edges):
+    edges = g.edges
+    for eid, (u, v) in enumerate(edges):
         pair_ids.setdefault((min(u, v), max(u, v)), []).append(eid)
     out: list[int] = []
     for lineno, raw in enumerate(stream, start=1):
@@ -120,7 +123,12 @@ def parse_deleted(stream: IO[str], g: MultiGraph) -> list[int]:
             raise ParseError(f"line {lineno}: non-integer field")
         key = tuple(sorted(fields))
         if len(key) == 1:
-            out.append(key[0])
+            eid = key[0]
+            if 0 <= eid < len(edges):
+                ids = pair_ids[tuple(sorted(edges[eid]))]
+                if eid in ids:
+                    ids.remove(eid)
+            out.append(eid)
         elif pair_ids.get(key):
             out.append(pair_ids[key].pop(0))
         else:

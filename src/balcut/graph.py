@@ -193,6 +193,22 @@ def _index_array(s: Iterable[int]) -> np.ndarray:
     return np.fromiter(s, dtype=np.int64)
 
 
+def _live_ends(g: MultiGraph, alive: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoint arrays of the edges live under a boolean edge mask."""
+    if alive is None:
+        return g.eu, g.ev
+    return g.eu[alive], g.ev[alive]
+
+
+def live_degrees(g: MultiGraph, alive: np.ndarray | None = None) -> np.ndarray:
+    """Per-vertex count of live edge ends (a self-loop counts twice);
+    ``g.deg`` itself when every edge is live."""
+    if alive is None:
+        return g.deg
+    eu, ev = _live_ends(g, alive)
+    return np.bincount(eu, minlength=g.n) + np.bincount(ev, minlength=g.n)
+
+
 def _side_mask(n: int, side: Iterable[int]) -> np.ndarray:
     """Boolean membership mask over range(n) of a vertex set inside it."""
     mask = np.zeros(n, dtype=bool)
@@ -222,16 +238,22 @@ def cut_edge_count(g: MultiGraph, side: Iterable[int]) -> int:
     return int(np.count_nonzero(mask[g.eu] != mask[g.ev]))
 
 
-def cut_stats(g: MultiGraph, s: Iterable[int]) -> Cut:
-    """Compute delta, volumes, conductance and sparsity of a proper cut."""
+def cut_stats(g: MultiGraph, s: Iterable[int], alive: np.ndarray | None = None) -> Cut:
+    """Compute delta, volumes, conductance and sparsity of a proper cut.
+
+    With a boolean edge mask ``alive``, only live edges count towards the
+    crossing edges and the volumes; every vertex of ``g`` stays."""
     side = frozenset(int(v) for v in s)
     if not side or len(side) >= g.n:
         raise InvalidCut(f"cut side must be proper: |S|={len(side)}, n={g.n}")
     if any(v < 0 or v >= g.n for v in side):
         raise InvalidCut("cut side contains an out-of-range vertex")
-    delta = cut_edge_count(g, side)
-    vol_s = g.volume(side)
-    vol_comp = g.volume() - vol_s
+    mask = _side_mask(g.n, side)
+    eu, ev = _live_ends(g, alive)
+    in_u, in_v = mask[eu], mask[ev]
+    delta = int(np.count_nonzero(in_u != in_v))
+    vol_s = int(np.count_nonzero(in_u)) + int(np.count_nonzero(in_v))
+    vol_comp = 2 * len(eu) - vol_s
     min_vol = min(vol_s, vol_comp)
     min_size = min(len(side), g.n - len(side))
     conductance = Fraction(delta, min_vol) if min_vol else Fraction(0)
@@ -281,17 +303,19 @@ def with_edges(g: MultiGraph, extra: Iterable[tuple[int, int]]) -> MultiGraph:
 
 
 def threshold_cut_counts(
-    g: MultiGraph, key: Sequence[int], top: int
+    g: MultiGraph, key: Sequence[int], top: int, alive: np.ndarray | None = None
 ) -> tuple[list[int], list[int]]:
     """Crossing edges and volume of each side {v : key[v] < t}, t = 1..top.
 
     ``key`` gives every vertex a nonnegative integer.  An edge crosses
     threshold t iff its smaller key is below t and its larger key is not,
     so difference arrays over t count every threshold in O(n + m + top);
-    keys above ``top`` all act as ``top + 1``.
+    keys above ``top`` all act as ``top + 1``.  With a boolean edge mask
+    ``alive``, only live edges count, towards crossings and volumes alike.
     """
     key = np.minimum(np.asarray(key, dtype=np.int64), top + 1)
-    ku, kv = key[g.eu], key[g.ev]
+    eu, ev = _live_ends(g, alive)
+    ku, kv = key[eu], key[ev]
     lo, hi = np.minimum(ku, kv), np.maximum(ku, kv)
     span = top + 3
     crossing = np.cumsum(np.bincount(lo + 1, minlength=span)

@@ -2,11 +2,11 @@
 
 The solver routes integral source mass to degree-capacity sinks under a
 per-edge congestion cap of ceil(4/phi) and a vertex-level cap of
-ceil((4/phi) * log2ceil(2m)) + 2.  If mass remains unabsorbed, some level
-cut {v : level(v) >= i} has conductance below phi; the solver scans each
-distinct level cut, recounts exactly, and returns the sparsest qualifying
-cut, so the contract is self-enforcing rather than assumed.  All arithmetic
-is integral; phi is an exact rational.
+ceil((4/phi) * log2ceil(2m)) + 2, m counting live edges only.  If mass
+remains unabsorbed, some level cut {v : level(v) >= i} has conductance
+below phi; the solver scans each distinct level cut, recounts exactly, and
+returns the sparsest qualifying cut, so the contract is self-enforcing
+rather than assumed.  All arithmetic is integral; phi is an exact rational.
 
 Push order is lowest-label first with FIFO buckets and relabel-to-minimum,
 which keeps runs deterministic.
@@ -36,7 +36,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InternalInvariantBroken, InvalidInput
-from .graph import Cut, MultiGraph, cut_stats, path_congestion, threshold_cut_counts
+from .graph import (
+    Cut,
+    MultiGraph,
+    cut_stats,
+    live_degrees,
+    path_congestion,
+    threshold_cut_counts,
+)
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,13 @@ class FlowInstance:
     needs oversized sources (2/phi units per deleted-edge endpoint).  The
     level-cut volume guarantee (min volume >= excess) is only enforced for
     degree-capped instances.
+
+    ``alive`` is a boolean mask over ``g``'s edges; ``None`` means every
+    edge.  The instance is then posed on the live edges alone, with every
+    vertex of ``g`` kept: degrees, the height cap, level-cut counts and
+    the preflow recount read live edges only, and a dead edge carries no
+    flow.  The trimming loop poses each round this way on its host graph
+    instead of building the live subgraph.
     """
 
     g: MultiGraph
@@ -55,9 +69,16 @@ class FlowInstance:
     sink: tuple[int, ...]
     phi: Fraction
     check_degree_caps: bool = True
+    alive: np.ndarray | None = None
 
     def __post_init__(self):
         g = self.g
+        alive = self.alive
+        if alive is not None and not (
+            isinstance(alive, np.ndarray) and alive.dtype == bool
+            and alive.shape == (g.m,)
+        ):
+            raise InvalidInput("alive must be a boolean array with one entry per edge")
         if len(self.source) != g.n or len(self.sink) != g.n:
             raise InvalidInput("source/sink functions must cover every vertex")
         if not (0 < self.phi <= 1):
@@ -68,7 +89,8 @@ class FlowInstance:
         if source.sum() > sink.sum():
             raise InvalidInput("total source mass exceeds total sink capacity")
         if self.check_degree_caps:
-            over = (source > g.deg) | (sink > g.deg)
+            deg = live_degrees(g, alive)
+            over = (source > deg) | (sink > deg)
             if over.any():
                 raise InvalidInput(
                     f"vertex {int(over.argmax())}: source/sink exceeds its degree"
@@ -80,7 +102,8 @@ class FlowInstance:
 
     @property
     def height_cap(self) -> int:
-        log2m = max(1, (2 * max(self.g.m, 1)).bit_length())
+        m = self.g.m if self.alive is None else int(np.count_nonzero(self.alive))
+        log2m = max(1, (2 * max(m, 1)).bit_length())
         return math.ceil(4 / self.phi * log2m) + 2
 
 
@@ -109,6 +132,8 @@ class Preflow:
         flow = np.array(self.flow, dtype=np.int64)
         if flow.size and np.abs(flow).max() > inst.congestion_cap:
             raise InternalInvariantBroken("edge congestion above cap")
+        if inst.alive is not None and flow[~inst.alive].any():
+            raise InternalInvariantBroken("flow on a dead edge")
         # net inflow, in exact int64; a self-loop's flow enters and leaves
         net = np.array(inst.source, dtype=np.int64)
         np.add.at(net, g.ev, flow)
@@ -124,11 +149,13 @@ class Preflow:
 
 
 def _best_level_cut(g: MultiGraph, level: Sequence[int], phi: Fraction,
-                    max_level: int, needed_volume: int = 0):
+                    max_level: int, needed_volume: int = 0,
+                    alive: np.ndarray | None = None):
     """Sparsest level cut {v : level >= i} with Phi < phi, exactly recounted.
 
     Only thresholds whose smaller side volume reaches ``needed_volume``
-    qualify.  Returns (side frozenset, threshold) or None.
+    qualify; only ``alive`` edges count when that mask is given.  Returns
+    (side frozenset, threshold) or None.
 
     The side changes only at occupied levels, and an equal side never wins
     the strict tie-break, so only the first threshold of each run of equal
@@ -137,10 +164,10 @@ def _best_level_cut(g: MultiGraph, level: Sequence[int], phi: Fraction,
     """
     if max_level < 1:
         return None
-    total_vol = g.volume()
+    total_vol = g.volume() if alive is None else 2 * int(np.count_nonzero(alive))
     level = np.asarray(level)
     occupied, rank = np.unique(level, return_inverse=True)
-    crossing, below = threshold_cut_counts(g, rank, len(occupied) - 1)
+    crossing, below = threshold_cut_counts(g, rank, len(occupied) - 1, alive)
     best = None  # (delta, minvol, i)
     for i, delta, vol_below in zip((occupied[:-1] + 1).tolist(), crossing, below):
         if i > max_level:
@@ -172,6 +199,16 @@ class _PushRelabel:
         g = inst.g
         self.sink = inst.sink
         self.indptr, self.inc, self.nbr = g.slots
+        if inst.alive is not None:
+            # Point every dead slot back at its owner.  The walk treats such
+            # a slot like a self-loop's: relabels skip it and it is never
+            # admissible, so only live edges carry flow.  Scanning it still
+            # counts as work, which paces the early level-cut checks.
+            self.nbr = nbr = self.nbr.copy()
+            dead = np.flatnonzero(~inst.alive[g.inc])
+            owner = np.searchsorted(g.indptr, dead, side="right") - 1
+            for k, v in zip(dead.tolist(), owner.tolist()):
+                nbr[k] = v
         self.eu = g.eu.tolist()
         self.cap = inst.congestion_cap
         self.h = inst.height_cap
@@ -319,7 +356,7 @@ def bounded_push_relabel(
         def early(state: _PushRelabel):
             return _best_level_cut(
                 g, state.level, inst.phi, state.max_level,
-                needed_volume=early_cut_volume,
+                needed_volume=early_cut_volume, alive=inst.alive,
             )
 
     hit = solver.run(
@@ -331,21 +368,23 @@ def bounded_push_relabel(
     excess = pf.total_excess()
     if hit is not None:
         side, _ = hit
-        cut = cut_stats(g, side)
+        cut = cut_stats(g, side, inst.alive)
         _check_cut(cut, inst, early_cut_volume or 0)
         return pf, excess, cut
     if excess == 0:
         return pf, 0, None
     found = _best_level_cut(g, solver.level, inst.phi, solver.max_level,
-                            needed_volume=excess if inst.check_degree_caps else 0)
+                            needed_volume=excess if inst.check_degree_caps else 0,
+                            alive=inst.alive)
     if found is None and inst.check_degree_caps:
         # fall back to the sparsest level cut regardless of volume before failing
-        found = _best_level_cut(g, solver.level, inst.phi, solver.max_level)
+        found = _best_level_cut(g, solver.level, inst.phi, solver.max_level,
+                                alive=inst.alive)
     if found is None:
         raise InternalInvariantBroken(
             "positive excess but no level cut below phi; solver bug"
         )
-    cut = cut_stats(g, found[0])
+    cut = cut_stats(g, found[0], inst.alive)
     _check_cut(cut, inst, excess if inst.check_degree_caps else 0)
     return pf, excess, cut
 

@@ -9,6 +9,14 @@ bounded push-relabel; unabsorbed mass exposes a level cut whose high side
 is carved into B, its boundary joining the deleted frontier.  The three
 output bounds are recounted exactly on every call, so a mistuned loop
 fails loudly instead of silently degrading.
+
+Every round runs on the host graph under a live-edge mask, the edges of
+(g - E')[V - B], instead of on a rebuilt subgraph: B's vertices stay as
+isolated vertices with zero source and zero sink, so they sit at level 0
+and no level cut contains them.  The host CSR lists each vertex's live
+edges in edge-id order, as the rebuilt subgraph did, so the rounds push,
+relabel and cut exactly as they would there; a round costs no graph
+construction and reuses the host's cached slot lists.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, InternalInvariantBroken, InvalidInput
-from .graph import MultiGraph, _index_array, _side_mask, masked_subgraph
+from .graph import MultiGraph, _index_array, _side_mask, live_degrees, masked_subgraph
 from .localflow import FlowInstance, bounded_push_relabel
 
 
@@ -66,30 +74,32 @@ def expander_prune(
     in_b = np.zeros(g.n, dtype=bool)
 
     for _ in range(g.volume() + 1):
-        # Every edge the loop kills besides the batch has an endpoint in B,
-        # so (g - batch)[V - B] is exactly the live part.
-        work, members = masked_subgraph(g, ~in_b, inside)
-        if not members.size:
+        if in_b.all():
             raise InternalInvariantBroken("trimming consumed the whole graph")
-        stranded = members[(work.deg == 0) & (charge[members] > 0)]
+        # ``inside`` still holds the edges with both ends in B; without
+        # them the live edges are exactly those of (g - batch)[V - B].
+        alive = inside & ~in_b[eu] & ~in_b[ev]
+        deg = live_degrees(g, alive)
+        stranded = np.flatnonzero(~in_b & (deg == 0) & (charge > 0))
         if stranded.size:
             # Charged vertices with no remaining edges cannot route their
             # mass anywhere; carve them outright.
             in_b[stranded] = True
             charge[stranded] = 0
             continue
-        source = tuple((unit * charge[members]).tolist())
-        sink = work.degrees()
+        source = tuple((unit * charge).tolist())
+        sink = tuple(deg.tolist())
         if sum(source) > sum(sink):
             raise BudgetExceeded(
                 "trimming charge outgrew the remaining volume; the deletion "
                 "batch is too large for this phi at this scale"
             )
-        inst = FlowInstance(work, source, sink, phi, check_degree_caps=False)
+        inst = FlowInstance(g, source, sink, phi, check_degree_caps=False,
+                            alive=alive)
         _, excess, cut = bounded_push_relabel(inst)
         if excess == 0:
             break
-        carved = members[_index_array(cut.side)]
+        carved = _index_array(cut.side)
         in_b[carved] = True
         charge[carved] = 0
         crossing = inside & (in_b[eu] != in_b[ev])

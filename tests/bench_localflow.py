@@ -9,7 +9,8 @@ Each instance is the first ``bounded_push_relabel`` call of a workload in
 op until that call:
 
 - ``prune_batches``: the first trimming round of ``expander_prune`` on the
-  160k-edge graph (oversized sources, no degree caps);
+  160k-edge graph (oversized sources, no degree caps), posed on the host
+  graph under a live-edge mask;
 - ``sparsest_planted``: the first matcher instance of the cut-matching
   game, a degree-capped ``route_or_cut_1pair`` call (early level-cut
   checks are off at this size).  Its excess is stranded, so the gap
@@ -17,6 +18,10 @@ op until that call:
 - ``decompose_planted``: the first matcher instance of the decomposition,
   where an early level-cut check stops the run at level 3.  No gap fires,
   so it times the level bookkeeping on a gap-free run.
+
+One more benchmark times a whole ``prune_batches`` op, its three
+``expander_prune`` calls, on a fresh copy of the graph each round, so that
+it pays for the slot lists as one ``balcut prune`` call does.
 """
 
 import sys
@@ -26,6 +31,7 @@ import pytest
 
 import balcut.localflow as localflow
 import balcut.pruning as pruning
+from balcut.graph import MultiGraph
 from balcut.localflow import bounded_push_relabel
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -72,7 +78,7 @@ def early_stopped_instance():
 
 def test_prune_batches_first_trimming_round(benchmark, trimming_round):
     inst, kw = trimming_round
-    assert not inst.check_degree_caps
+    assert not inst.check_degree_caps and inst.alive is not None
     pf, excess, cut = benchmark(bounded_push_relabel, inst, **kw)
     assert len(pf.flow) == inst.g.m
 
@@ -90,3 +96,18 @@ def test_decompose_planted_first_matcher_instance(benchmark, early_stopped_insta
     pf, excess, cut = benchmark(bounded_push_relabel, inst, **kw)
     # a gap would have lifted at least one vertex to the height cap
     assert cut is not None and max(pf.level) < inst.height_cap
+
+
+def test_prune_batches_op_on_a_fresh_graph(benchmark):
+    workload = PruneBatches()
+    inp = workload.setup(1)
+
+    def fresh():
+        g = MultiGraph._from_arrays(inp.g.n, inp.g.eu, inp.g.ev)
+        return (g,), {}
+
+    def op(g):
+        return [pruning.expander_prune(g, workload.phi, batch) for batch in inp.batches]
+
+    out = benchmark.pedantic(op, setup=fresh, rounds=5)
+    assert workload.digest(out) == workload.digest(workload.solve(inp))

@@ -167,6 +167,27 @@ def test_cli_prune(tmp_path, capsys):
     assert timed == report
 
 
+def test_cli_prune_id_then_pair_deletes_both_copies(tmp_path, capsys):
+    from balcut.generators import complete_graph
+
+    # edges 0 and 1 are two parallel copies of (0, 1)
+    g = MultiGraph(8, [(0, 1)] + list(complete_graph(8).edges))
+    assert g.edges[:2] == ((0, 1), (0, 1))
+    gfile = tmp_path / "k8.txt"
+    with open(gfile, "w") as fh:
+        write_graph(g, fh)
+    dels = tmp_path / "del.txt"
+    dels.write_text("0\n0 1\n")
+    with open(dels) as fh:
+        assert parse_deleted(fh, g) == [0, 1]
+    args = ["prune", "--phi", "1/2", "--deleted", str(dels), str(gfile)]
+    assert dispatch(args) == 0
+    assert json.loads(capsys.readouterr().out)["parameters"]["k"] == 2
+    dels.write_text("0\n0\n")  # a repeated id line still names one edge twice
+    assert dispatch(args) == 2
+    assert capsys.readouterr().err == "error: deleted edge ids must be distinct\n"
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 0\n")

@@ -1,15 +1,16 @@
 import heapq
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import balcut.localflow as localflow
 from balcut.errors import InternalInvariantBroken, InvalidInput
 from balcut.generators import complete_graph, random_connected_graph
-from balcut.graph import MultiGraph, cut_stats
+from balcut.graph import MultiGraph, cut_stats, live_degrees, masked_subgraph
 from balcut.localflow import (
     FlowInstance,
     PairRouting,
@@ -438,9 +439,9 @@ def test_best_level_cut_scores_only_occupied_levels(monkeypatch):
     real = localflow.threshold_cut_counts
     tops = []
 
-    def counting(g, key, top):
+    def counting(g, key, top, *alive):
         tops.append(top)
-        return real(g, key, top)
+        return real(g, key, top, *alive)
 
     monkeypatch.setattr(localflow, "threshold_cut_counts", counting)
     rng = random.Random(7)
@@ -614,3 +615,121 @@ def test_work_does_not_grow_with_the_height_cap():
         assert solver.level[:16] == [inst.height_cap] * 16
         seen.add(solver.work)
     assert seen == {189}
+
+
+def _masked_instance(seed):
+    """A random multigraph, a kept vertex set and a live edge mask, with
+    sources and sinks on the kept vertices only."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 16)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(n, 4 * n))]
+    edges = [(u, v) for u, v in edges if u != v]
+    edges += edges[: rng.randint(0, 4)]  # parallel copies
+    g = MultiGraph(n, edges)
+    keep = np.array([rng.random() < 0.8 for _ in range(n)])
+    alive = np.array([rng.random() < 0.8 for _ in range(g.m)]) & keep[g.eu] & keep[g.ev]
+    deg = live_degrees(g, alive).tolist()
+    phi = Fraction(1, rng.choice([1, 2, 3, 4]))
+    capped = rng.random() < 0.5
+    sink = [d if capped else rng.randint(0, d) for d in deg]
+    source = [0] * n
+    for _ in range(rng.randint(1, 3)):
+        v = rng.randrange(n)
+        if keep[v]:
+            source[v] += rng.randint(0, deg[v] if capped else 3 * deg[v])
+    while sum(source) > sum(sink):
+        source[source.index(max(source))] -= 1
+    if capped:
+        source = [min(s, d) for s, d in zip(source, deg)]
+    return g, keep, alive, tuple(source), tuple(sink), phi, capped
+
+
+def test_masked_instance_matches_the_live_subgraph():
+    cuts = 0
+    for seed in range(300):
+        g, keep, alive, source, sink, phi, capped = _masked_instance(seed)
+        sub, verts = masked_subgraph(g, keep, alive)
+        live = np.flatnonzero(alive)  # sub's edge j is host edge live[j]
+        inst = FlowInstance(g, source, sink, phi, check_degree_caps=capped, alive=alive)
+        sub_inst = FlowInstance(sub, tuple(source[v] for v in verts),
+                                tuple(sink[v] for v in verts), phi,
+                                check_degree_caps=capped)
+        assert inst.height_cap == sub_inst.height_cap
+        # early checks after every discharge, so both check at the same points
+        early = {"early_cut_volume": 1, "check_interval": 1} if seed % 3 == 0 else {}
+        pf, excess, cut = bounded_push_relabel(inst, **early)
+        sub_pf, sub_excess, sub_cut = bounded_push_relabel(sub_inst, **early)
+        assert excess == sub_excess
+        level, flow = np.array(pf.level), np.array(pf.flow)
+        assert level[verts].tolist() == sub_pf.level
+        assert not level[~keep].any()
+        assert flow[live].tolist() == sub_pf.flow
+        assert not flow[~alive].any()
+        assert (cut is None) == (sub_cut is None)
+        if cut is not None:
+            cuts += 1
+            assert sorted(cut.side) == sorted(verts[list(sub_cut.side)].tolist())
+            assert (cut.delta, cut.vol_s, cut.vol_comp, cut.conductance) == (
+                sub_cut.delta, sub_cut.vol_s, sub_cut.vol_comp, sub_cut.conductance)
+    assert cuts >= 20
+
+
+def test_validate_rejects_flow_on_a_dead_edge():
+    g = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
+    alive = np.array([True, True, False])
+    inst = FlowInstance(g, (1, 0, 0), (0, 0, 1), Fraction(1, 2), alive=alive)
+    pf, excess, _ = bounded_push_relabel(inst)
+    assert excess == 0 and pf.flow[2] == 0
+    pf.flow = [0, 0, 1]  # the unit goes over the dead edge (0, 2) instead
+    pf.validate(FlowInstance(g, inst.source, inst.sink, inst.phi))  # balanced
+    with pytest.raises(InternalInvariantBroken, match="dead edge"):
+        pf.validate(inst)
+
+
+def test_alive_mask_must_be_a_boolean_array_over_the_edges():
+    g = MultiGraph(3, [(0, 1), (1, 2)])
+    args = (g, (0, 0, 0), (0, 0, 0), Fraction(1, 2))
+    for bad in (np.ones(3, dtype=bool), np.ones(1, dtype=bool),
+                np.ones(2, dtype=np.int64), [True, True], np.ones((2, 1), dtype=bool)):
+        with pytest.raises(InvalidInput, match="alive"):
+            FlowInstance(*args, alive=bad)
+    FlowInstance(*args, alive=np.array([True, False]))
+    # degree caps read live degrees: vertex 0 keeps no edge
+    with pytest.raises(InvalidInput, match="vertex 0: source/sink exceeds its degree"):
+        FlowInstance(g, (1, 0, 0), (0, 0, 1), Fraction(1, 2), alive=np.array([False, True]))
+
+
+def test_expander_prune_trims_on_the_host_graph(monkeypatch):
+    import balcut.graph as graph
+    import balcut.pruning as pruning
+    from balcut.generators import random_regularish_graph
+
+    core = random_regularish_graph(30, 6, 1)
+    pendant = [(30 + u, 30 + v) for u, v in complete_graph(4).edges]
+    g = MultiGraph(34, list(core.edges) + pendant + [(0, 30), (1, 31)])
+    calls = Counter()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a trimming round rebuilt the graph")
+
+    real_slots = MultiGraph.slots.fget
+
+    def counting_slots(self):
+        calls["slots built"] += self._slots is None
+        return real_slots(self)
+
+    real_flow = pruning.bounded_push_relabel
+
+    def counting_flow(inst):
+        calls["rounds"] += 1
+        return real_flow(inst)
+
+    monkeypatch.setattr(graph, "masked_subgraph", forbidden)
+    monkeypatch.setattr(pruning, "masked_subgraph", forbidden)
+    monkeypatch.setattr(MultiGraph, "_from_arrays", forbidden)
+    monkeypatch.setattr(MultiGraph, "slots", property(counting_slots))
+    monkeypatch.setattr(pruning, "bounded_push_relabel", counting_flow)
+    # deleting both attachments cuts off the pendant K4, which round 1 carves
+    a, b = pruning.expander_prune(g, Fraction(1, 4), [g.m - 2, g.m - 1])
+    assert b == {30, 31, 32, 33}
+    assert calls == {"rounds": 2, "slots built": 1}

@@ -1,13 +1,26 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from balcut.errors import BudgetExceeded, InvalidInput
+import balcut.pruning as pruning
+from balcut.errors import BudgetExceeded, InternalInvariantBroken, InvalidInput
 from balcut.expanders import construct_expander
-from balcut.generators import complete_graph
-from balcut.graph import brute_force_extremum, graph_conductance, is_connected
-from balcut.pruning import expander_prune, pruned_subgraph
+from balcut.generators import complete_graph, random_regularish_graph
+from balcut.graph import (
+    MultiGraph,
+    _index_array,
+    brute_force_extremum,
+    graph_conductance,
+    is_connected,
+    live_degrees,
+    masked_subgraph,
+)
+from balcut.localflow import FlowInstance
+from balcut.pruning import _recount, expander_prune, pruned_subgraph
 
 
 def check_contract(g, phi, dels, a, b):
@@ -97,3 +110,148 @@ def test_infeasible_charge_is_flagged_as_budget():
     phi = graph_conductance(g)  # 1/7: charge 2*ceil(2/phi) = 28 > Vol = 14
     with pytest.raises(BudgetExceeded):
         expander_prune(g, phi, [6])
+
+
+def rebuild_prune(g, phi, deleted):
+    """``expander_prune`` as it was before it trimmed on the host graph:
+    every round rebuilds (g - batch)[V - B] and poses its flow problem
+    there.  Push-relabel is looked up on ``pruning`` so that a test can
+    record the rounds of both versions."""
+    phi = Fraction(phi)
+    if not (0 < phi <= 1):
+        raise InvalidInput(f"phi must lie in (0, 1], got {phi}")
+    dels = sorted(set(int(e) for e in deleted))
+    if dels and (dels[0] < 0 or dels[-1] >= g.m):
+        raise InvalidInput("deleted edge id out of range")
+    if len(dels) != len(deleted):
+        raise InvalidInput("deleted edge ids must be distinct")
+    k = len(dels)
+    if k == 0:
+        return frozenset(range(g.n)), frozenset()
+    budget = math.ceil(phi * g.m / 10)
+    if k > budget:
+        raise BudgetExceeded(f"k={k} deleted edges exceed ceil(phi*m/10)={budget}")
+    unit = math.ceil(2 / phi)
+    if 2 * k * unit > g.volume():
+        raise BudgetExceeded(
+            f"trimming charge {2 * k * unit} exceeds the graph volume; "
+            f"the deletion batch is too large for phi={phi} at this scale"
+        )
+
+    eu, ev = g.eu, g.ev
+    dead = np.zeros(g.m, dtype=bool)
+    dead[dels] = True
+    charge = np.bincount(np.concatenate([eu[dels], ev[dels]]), minlength=g.n)
+    inside = ~dead
+    in_b = np.zeros(g.n, dtype=bool)
+
+    for _ in range(g.volume() + 1):
+        work, members = masked_subgraph(g, ~in_b, inside)
+        if not members.size:
+            raise InternalInvariantBroken("trimming consumed the whole graph")
+        stranded = members[(work.deg == 0) & (charge[members] > 0)]
+        if stranded.size:
+            in_b[stranded] = True
+            charge[stranded] = 0
+            continue
+        source = tuple((unit * charge[members]).tolist())
+        sink = work.degrees()
+        if sum(source) > sum(sink):
+            raise BudgetExceeded(
+                "trimming charge outgrew the remaining volume; the deletion "
+                "batch is too large for this phi at this scale"
+            )
+        inst = FlowInstance(work, source, sink, phi, check_degree_caps=False)
+        _, excess, cut = pruning.bounded_push_relabel(inst)
+        if excess == 0:
+            break
+        carved = members[_index_array(cut.side)]
+        in_b[carved] = True
+        charge[carved] = 0
+        crossing = inside & (in_b[eu] != in_b[ev])
+        outside = np.where(in_b[eu[crossing]], ev[crossing], eu[crossing])
+        charge += np.bincount(outside, minlength=g.n)
+        inside &= ~crossing
+    else:
+        raise InternalInvariantBroken("trimming did not converge")
+
+    _recount(g, phi, dead, in_b, k)
+    return (frozenset(np.flatnonzero(~in_b).tolist()),
+            frozenset(np.flatnonzero(in_b).tolist()))
+
+
+def _chain_case(seed):
+    """A regular-ish core with a chain of small cliques hanging off it,
+    and deletions at the chain's far end: trimming carves the last clique,
+    then often the clique its new boundary charges, and strands vertices
+    whose every edge is deleted."""
+    rng = random.Random(seed)
+    core = rng.choice([16, 20, 24, 30])
+    edges = list(random_regularish_graph(core, rng.randint(4, 6), seed).edges)
+    n, prev = core, list(range(core))
+    for _ in range(rng.randint(1, 4)):
+        block = list(range(n, n + rng.randint(2, 5)))
+        edges += [(u, v) for i, u in enumerate(block) for v in block[i + 1:]]
+        edges += [(rng.choice(prev), rng.choice(block)) for _ in range(rng.randint(1, 3))]
+        prev, n = block, block[-1] + 1
+    edges += [edges[rng.randrange(len(edges))] for _ in range(rng.randint(0, 3))]
+    g = MultiGraph(n, edges)
+    phi = Fraction(1, rng.choice([2, 3, 4, 6, 8]))
+    chain = [eid for eid, (u, v) in enumerate(edges) if max(u, v) >= prev[0]]
+    rng.shuffle(chain)
+    return g, phi, sorted(chain[:rng.randint(1, math.ceil(phi * g.m / 10))])
+
+
+def _budget_case(seed):
+    """A tiny matching union at phi = 1/8, where one deletion's charge is
+    about the whole volume: the up-front budget checks and the in-loop
+    one that fires once carving adds boundary charge."""
+    rng = random.Random(seed)
+    g = random_regularish_graph(rng.choice([6, 8, 10]), rng.choice([3, 4]), seed)
+    k = 1 if rng.random() < 0.8 else 2
+    return g, Fraction(1, 8), sorted(rng.sample(range(g.m), k))
+
+
+def test_host_graph_trimming_matches_the_rebuild_reference(monkeypatch):
+    real = pruning.bounded_push_relabel
+    rounds = []
+
+    def recording(inst):
+        pf, excess, cut = real(inst)
+        cut_counts = None if cut is None else (cut.delta, cut.vol_s, cut.vol_comp)
+        levels = sorted(x for x in pf.level if x > 0)  # id-free
+        rounds.append((inst.height_cap, excess, levels, cut_counts))
+        return pf, excess, cut
+
+    monkeypatch.setattr(pruning, "bounded_push_relabel", recording)
+
+    def run(prune, g, phi, dels):
+        rounds.clear()
+        try:
+            result = prune(g, phi, dels)
+        except (BudgetExceeded, InternalInvariantBroken) as exc:
+            result = (type(exc).__name__, str(exc))
+        return result, list(rounds)
+
+    seen = Counter()
+    # seeds 245 and 506 carve in two rounds
+    cases = [_chain_case(seed) for seed in [*range(250), 506]]
+    cases += [_budget_case(seed) for seed in range(60)]
+    for g, phi, dels in cases:
+        want = run(rebuild_prune, g, phi, dels)
+        assert run(expander_prune, g, phi, dels) == want
+        result, want_rounds = want
+        if result[0] == "BudgetExceeded":  # which of the three checks
+            message = result[1]
+            seen["outgrew" if "outgrew" in message else message[:2]] += 1
+        seen["multi-round"] += sum(r[3] is not None for r in want_rounds) >= 2
+        alive = np.ones(g.m, dtype=bool)
+        alive[dels] = False
+        seen["stranded"] += bool(((live_degrees(g, alive) == 0) & (g.deg > 0)).any())
+        seen["parallel"] += len(set(g.edges)) < g.m
+        # the live edge count fell below a power of two that g.m reaches
+        host_cap = FlowInstance(g, (0,) * g.n, (0,) * g.n, phi).height_cap
+        seen["lower cap"] += any(r[0] < host_cap for r in want_rounds)
+    assert seen["multi-round"] >= 2
+    assert min(seen["stranded"], seen["parallel"], seen["lower cap"]) >= 5
+    assert min(seen["k="], seen["tr"], seen["outgrew"]) >= 1, seen
