@@ -40,13 +40,14 @@ class MultiGraph:
         edges: tuple of ``(u, v)`` pairs with ``u, v`` in ``[0, n)``.
         slots: the lists ``(indptr, inc, nbr)`` for pure-Python walks;
             they are shared by every reader and must not be modified.
+        eu_list: ``eu`` as a list, for the same walks and on the same terms.
 
-    ``edges`` and ``slots`` are views built on first access; hot loops read
-    them once into locals.
+    ``edges``, ``slots`` and ``eu_list`` are views built on first access;
+    hot loops read them once into locals.
     """
 
     __slots__ = ("n", "eu", "ev", "indptr", "inc", "nbr", "deg", "_loops",
-                 "_edges", "_slots", "_degrees")
+                 "_edges", "_slots", "_eu_list", "_degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -83,7 +84,7 @@ class MultiGraph:
         for arr in (eu, ev, indptr, self.inc, self.nbr, deg):
             arr.flags.writeable = False
         self._loops = int(np.count_nonzero(eu == ev))
-        self._edges = self._slots = self._degrees = None
+        self._edges = self._slots = self._eu_list = self._degrees = None
 
     @property
     def m(self) -> int:
@@ -108,6 +109,12 @@ class MultiGraph:
                 _int_objects(self.n)[self.nbr].tolist(),
             )
         return self._slots
+
+    @property
+    def eu_list(self) -> list[int]:
+        if self._eu_list is None:
+            self._eu_list = _int_objects(self.n)[self.eu].tolist()
+        return self._eu_list
 
     @property
     def has_self_loops(self) -> bool:
@@ -193,20 +200,24 @@ def _index_array(s: Iterable[int]) -> np.ndarray:
     return np.fromiter(s, dtype=np.int64)
 
 
-def _live_ends(g: MultiGraph, alive: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The endpoint arrays of the edges live under a boolean edge mask."""
-    if alive is None:
-        return g.eu, g.ev
-    return g.eu[alive], g.ev[alive]
-
-
 def live_degrees(g: MultiGraph, alive: np.ndarray | None = None) -> np.ndarray:
     """Per-vertex count of live edge ends (a self-loop counts twice);
     ``g.deg`` itself when every edge is live."""
     if alive is None:
         return g.deg
-    eu, ev = _live_ends(g, alive)
-    return np.bincount(eu, minlength=g.n) + np.bincount(ev, minlength=g.n)
+    return (np.bincount(g.eu[alive], minlength=g.n)
+            + np.bincount(g.ev[alive], minlength=g.n))
+
+
+def incident_slots(g: MultiGraph, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(slot, owner): the incidence slots of the vertices ``verts``, each
+    vertex's in order, and the vertex owning each slot.  O(vol(verts))."""
+    start = g.indptr[verts]
+    count = g.deg[verts]
+    owner = np.repeat(verts, count)
+    first = np.cumsum(count) - count  # where each vertex's run begins
+    slot = np.arange(len(owner)) + np.repeat(start - first, count)
+    return slot, owner
 
 
 def _side_mask(n: int, side: Iterable[int]) -> np.ndarray:
@@ -242,18 +253,23 @@ def cut_stats(g: MultiGraph, s: Iterable[int], alive: np.ndarray | None = None) 
     """Compute delta, volumes, conductance and sparsity of a proper cut.
 
     With a boolean edge mask ``alive``, only live edges count towards the
-    crossing edges and the volumes; every vertex of ``g`` stays."""
+    crossing edges and the volumes; every vertex of ``g`` stays.  Counted
+    over the slots of the side with fewer vertices: each crossing edge has
+    one slot there, so a small side costs O(vol(S)), not O(m)."""
     side = frozenset(int(v) for v in s)
     if not side or len(side) >= g.n:
         raise InvalidCut(f"cut side must be proper: |S|={len(side)}, n={g.n}")
     if any(v < 0 or v >= g.n for v in side):
         raise InvalidCut("cut side contains an out-of-range vertex")
     mask = _side_mask(g.n, side)
-    eu, ev = _live_ends(g, alive)
-    in_u, in_v = mask[eu], mask[ev]
-    delta = int(np.count_nonzero(in_u != in_v))
-    vol_s = int(np.count_nonzero(in_u)) + int(np.count_nonzero(in_v))
-    vol_comp = 2 * len(eu) - vol_s
+    counted_s = 2 * len(side) <= g.n
+    slot, _ = incident_slots(g, np.flatnonzero(mask if counted_s else ~mask))
+    if alive is not None:
+        slot = slot[alive[g.inc[slot]]]
+    total = 2 * (g.m if alive is None else int(np.count_nonzero(alive)))
+    delta = int(np.count_nonzero(mask[g.nbr[slot]] != counted_s))
+    vol_s = len(slot) if counted_s else total - len(slot)
+    vol_comp = total - vol_s
     min_vol = min(vol_s, vol_comp)
     min_size = min(len(side), g.n - len(side))
     conductance = Fraction(delta, min_vol) if min_vol else Fraction(0)
@@ -303,19 +319,17 @@ def with_edges(g: MultiGraph, extra: Iterable[tuple[int, int]]) -> MultiGraph:
 
 
 def threshold_cut_counts(
-    g: MultiGraph, key: Sequence[int], top: int, alive: np.ndarray | None = None
+    g: MultiGraph, key: Sequence[int], top: int
 ) -> tuple[list[int], list[int]]:
     """Crossing edges and volume of each side {v : key[v] < t}, t = 1..top.
 
     ``key`` gives every vertex a nonnegative integer.  An edge crosses
     threshold t iff its smaller key is below t and its larger key is not,
     so difference arrays over t count every threshold in O(n + m + top);
-    keys above ``top`` all act as ``top + 1``.  With a boolean edge mask
-    ``alive``, only live edges count, towards crossings and volumes alike.
+    keys above ``top`` all act as ``top + 1``.
     """
     key = np.minimum(np.asarray(key, dtype=np.int64), top + 1)
-    eu, ev = _live_ends(g, alive)
-    ku, kv = key[eu], key[ev]
+    ku, kv = key[g.eu], key[g.ev]
     lo, hi = np.minimum(ku, kv), np.maximum(ku, kv)
     span = top + 3
     crossing = np.cumsum(np.bincount(lo + 1, minlength=span)

@@ -22,6 +22,20 @@ without the rule it would climb one relabel at a time to the cap.
 Discharges below the gap go on unchanged, and so do all the recounts.
 ``_best_level_cut`` scores occupied levels only, so its cost does not grow
 with the cap that lifted vertices sit at.
+
+Footprint: let R = {v : level(v) > 0}.  A push goes from level l to level
+l - 1 >= 0, so every pushing vertex is in R and every edge with nonzero
+flow touches R; every level cut {level >= i} with i >= 1 lies inside R.
+So the level-cut counts and the preflow recount read R's incidence slots,
+and ``cut_stats`` recounts a returned cut over its smaller side's slots;
+their Python and numpy work is about O(vol(R) log vol(R)).  Past the
+discharges, what a call still pays in O(n + m) is C-level: the solver's
+lists (``[0] * m``, ``tolist`` of sources and sinks, a copy of the slot
+list under a mask), one conversion each of the level and mass lists,
+``flow.count(0)`` and boolean passes over edge masks.  A trimming round
+that moves mass near a small deleted batch thus costs about its
+footprint in Python, not m.  When Vol(R) exceeds m/2 the preflow recount
+reads every edge instead, which is cheaper there.
 """
 
 from __future__ import annotations
@@ -40,15 +54,18 @@ from .graph import (
     Cut,
     MultiGraph,
     cut_stats,
+    incident_slots,
     live_degrees,
     path_congestion,
-    threshold_cut_counts,
 )
 
 
 @dataclass(frozen=True)
 class FlowInstance:
     """A unit-flow problem: per-vertex integral sources and sinks.
+
+    ``source`` and ``sink`` may be given as any integer sequences; they are
+    kept as int64 arrays, and an int64 array is kept as it is, not copied.
 
     ``check_degree_caps=False`` relaxes the per-vertex bounds
     source(v) <= deg(v) and sink(v) <= deg(v); the expander trimming loop
@@ -65,8 +82,8 @@ class FlowInstance:
     """
 
     g: MultiGraph
-    source: tuple[int, ...]
-    sink: tuple[int, ...]
+    source: np.ndarray
+    sink: np.ndarray
     phi: Fraction
     check_degree_caps: bool = True
     alive: np.ndarray | None = None
@@ -83,7 +100,10 @@ class FlowInstance:
             raise InvalidInput("source/sink functions must cover every vertex")
         if not (0 < self.phi <= 1):
             raise InvalidInput(f"phi must lie in (0, 1], got {self.phi}")
-        source, sink = np.asarray(self.source), np.asarray(self.sink)
+        source = np.asarray(self.source, dtype=np.int64)
+        sink = np.asarray(self.sink, dtype=np.int64)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "sink", sink)
         if (source < 0).any() or (sink < 0).any():
             raise InvalidInput("source and sink values must be nonnegative")
         if source.sum() > sink.sum():
@@ -114,22 +134,52 @@ class Preflow:
     flow: list[int]
     level: list[int]
     mass: list[int]
-    source: tuple[int, ...]
-    sink: tuple[int, ...]
-
-    def absorbed(self, v: int) -> int:
-        return min(self.mass[v], self.sink[v])
-
-    def excess(self, v: int) -> int:
-        return self.mass[v] - self.absorbed(v)
+    source: np.ndarray
+    sink: np.ndarray
 
     def total_excess(self) -> int:
-        return int(np.maximum(np.asarray(self.mass) - np.asarray(self.sink), 0).sum())
+        return int(np.maximum(_int_array(self.mass) - self.sink, 0).sum())
 
     def validate(self, inst: FlowInstance) -> None:
-        """Exact recount of every preflow invariant; raises on violation."""
+        """Exact recount of every preflow invariant; raises on violation.
+
+        A push leaves level l >= 1 for level l - 1, so every edge with
+        nonzero flow touches R = {v : level(v) > 0}.  When Vol(R) is at
+        most m/2, the recount reads only the edges at R's slots, after
+        ``flow.count(0)`` has shown that they hold all the nonzero flow.
+        Otherwise, or when that fails, or when the recount over R's edges
+        finds a violation, every edge is recounted and the first violation
+        is reported."""
+        if not self._valid_on_footprint(inst):
+            self._recount_all_edges(inst)
+
+    def _valid_on_footprint(self, inst: FlowInstance) -> bool:
+        """True when the recount over R's edges proves the preflow valid.
+        A larger R makes the full recount the cheaper one: gathering flow
+        from a list costs more per edge than converting all of it."""
+        g, flow = inst.g, self.flow
+        raised = np.flatnonzero(_int_array(self.level))
+        if 2 * int(g.deg[raised].sum()) > len(flow):
+            return False
+        slot, _ = incident_slots(g, raised)
+        touching = np.zeros(g.m, dtype=bool)
+        touching[g.inc[slot]] = True
+        eids = np.flatnonzero(touching)
+        f = np.array([flow[e] for e in eids.tolist()], dtype=np.int64)
+        if np.count_nonzero(f) != len(flow) - flow.count(0):
+            return False  # some nonzero flow lies outside R's edges
+        if f.size and np.abs(f).max() > inst.congestion_cap:
+            return False
+        if inst.alive is not None and f[~inst.alive[eids]].any():
+            return False
+        net = inst.source.copy()
+        np.add.at(net, g.ev[eids], f)
+        np.subtract.at(net, g.eu[eids], f)
+        return not (net < 0).any() and net.tolist() == self.mass
+
+    def _recount_all_edges(self, inst: FlowInstance) -> None:
         g = inst.g
-        flow = np.array(self.flow, dtype=np.int64)
+        flow = _int_array(self.flow)
         if flow.size and np.abs(flow).max() > inst.congestion_cap:
             raise InternalInvariantBroken("edge congestion above cap")
         if inst.alive is not None and flow[~inst.alive].any():
@@ -138,7 +188,7 @@ class Preflow:
         net = np.array(inst.source, dtype=np.int64)
         np.add.at(net, g.ev, flow)
         np.subtract.at(net, g.eu, flow)
-        mass = np.array(self.mass, dtype=np.int64)
+        mass = _int_array(self.mass)
         bad = (net != mass) | (net < 0)
         if bad.any():
             v = int(bad.argmax())
@@ -146,6 +196,11 @@ class Preflow:
                 raise InternalInvariantBroken(f"mass mismatch at vertex {v}")
             # equivalent to net outflow exceeding the vertex's source mass
             raise InternalInvariantBroken(f"negative mass at vertex {v}")
+
+
+def _int_array(values: Sequence[int]) -> np.ndarray:
+    """An int64 array of a list of ints; faster than ``np.asarray``."""
+    return np.fromiter(values, np.int64, len(values))
 
 
 def _best_level_cut(g: MultiGraph, level: Sequence[int], phi: Fraction,
@@ -157,22 +212,29 @@ def _best_level_cut(g: MultiGraph, level: Sequence[int], phi: Fraction,
     qualify; only ``alive`` edges count when that mask is given.  Returns
     (side frozenset, threshold) or None.
 
-    The side changes only at occupied levels, and an equal side never wins
-    the strict tie-break, so only the first threshold of each run of equal
-    sides is scored: the level after each occupied one.  Levels are ranked
-    first, so the cost is O(n log n + m), whatever ``max_level`` is.
+    Every side with i >= 1 lies inside R = {v : level(v) > 0}, and every
+    edge crossing it has its higher end there, so the counts read R's
+    slots alone.  The side changes only at occupied levels, and an equal
+    side never wins the strict tie-break, so only the first threshold of
+    each run of equal sides is scored: the level after each occupied one.
+    Past one pass over the levels and the live-edge count, the cost is
+    O(vol(R) log vol(R)), whatever ``max_level`` is.
     """
     if max_level < 1:
         return None
     total_vol = g.volume() if alive is None else 2 * int(np.count_nonzero(alive))
-    level = np.asarray(level)
-    occupied, rank = np.unique(level, return_inverse=True)
-    crossing, below = threshold_cut_counts(g, rank, len(occupied) - 1, alive)
+    level = _int_array(level)
+    raised = np.flatnonzero(level > 0)
+    occupied, rank = np.unique(level[raised], return_inverse=True)
+    crossing, suffixes = _raised_level_counts(g, raised, rank, len(occupied), alive)
+    # Side j is {level >= occupied[j]}, scored at one above the occupied
+    # level below it.  With no vertex at level 0, side 0 is V: its volume
+    # is the total, so it never qualifies.
+    thresholds = [1, *(occupied[:-1] + 1).tolist()]
     best = None  # (delta, minvol, i)
-    for i, delta, vol_below in zip((occupied[:-1] + 1).tolist(), crossing, below):
+    for i, delta, suffix in zip(thresholds, crossing, suffixes):
         if i > max_level:
             break
-        suffix = total_vol - vol_below
         if suffix <= 0 or suffix >= total_vol:
             continue
         minvol = min(suffix, total_vol - suffix)
@@ -190,14 +252,36 @@ def _best_level_cut(g: MultiGraph, level: Sequence[int], phi: Fraction,
     if best is None:
         return None
     i = best[2]
-    side = frozenset(np.flatnonzero(level >= i).tolist())
+    side = frozenset(raised[level[raised] >= i].tolist())
     return side, i
+
+
+def _raised_level_counts(g: MultiGraph, raised: np.ndarray, rank: np.ndarray,
+                         top: int, alive: np.ndarray | None):
+    """Crossing live edges and live volume of each side {key >= j},
+    j = 1..top, where ``raised[t]`` has key rank[t] + 1 and every other
+    vertex key 0.  Counted over the raised vertices' slots: an edge
+    crossing side j has its higher-key end raised, and is counted from
+    there only, where its other end's key is lower."""
+    key = np.zeros(g.n, dtype=np.int64)
+    key[raised] = rank + 1
+    slot, owner = incident_slots(g, raised)
+    if alive is not None:
+        live = alive[g.inc[slot]]
+        slot, owner = slot[live], owner[live]
+    own, other = key[owner], key[g.nbr[slot]]
+    down = other < own
+    span = top + 2
+    crossing = np.cumsum(np.bincount(other[down] + 1, minlength=span)
+                         - np.bincount(own[down] + 1, minlength=span))
+    suffix = np.cumsum(np.bincount(own, minlength=span)[::-1])[::-1]
+    return crossing[1:top + 1].tolist(), suffix[1:top + 1].tolist()
 
 
 class _PushRelabel:
     def __init__(self, inst: FlowInstance):
         g = inst.g
-        self.sink = inst.sink
+        self.sink = inst.sink.tolist()
         self.indptr, self.inc, self.nbr = g.slots
         if inst.alive is not None:
             # Point every dead slot back at its owner.  The walk treats such
@@ -209,12 +293,12 @@ class _PushRelabel:
             owner = np.searchsorted(g.indptr, dead, side="right") - 1
             for k, v in zip(dead.tolist(), owner.tolist()):
                 nbr[k] = v
-        self.eu = g.eu.tolist()
+        self.eu = g.eu_list
         self.cap = inst.congestion_cap
         self.h = inst.height_cap
         self.flow = [0] * g.m
         self.level = [0] * g.n
-        self.mass = list(inst.source)
+        self.mass = inst.source.tolist()
         self.ptr = self.indptr[:-1]  # the next slot each vertex scans
         self.max_level = 0
         self.work = 0
@@ -227,9 +311,8 @@ class _PushRelabel:
         self.buckets: dict[int, deque[int]] = {}
         self.level_heap: list[int] = []
         self.queued = bytearray(g.n)
-        for v in range(g.n):
-            if self.mass[v] > self.sink[v]:
-                self._enqueue(v, 0)
+        for v in np.flatnonzero(inst.source > inst.sink).tolist():
+            self._enqueue(v, 0)
 
     def _enqueue(self, v: int, lvl: int) -> None:
         bucket = self.buckets.get(lvl)
@@ -302,8 +385,10 @@ class _PushRelabel:
     def _gap(self, old: int) -> None:
         """Level ``old`` just emptied: lift every vertex above it to h,
         where it is never discharged again (see the module docstring)."""
-        h = self.h
-        self.level[:] = [h if old < x < h else x for x in self.level]
+        h, level = self.h, self.level
+        now = _int_array(level)
+        for v in np.flatnonzero((now > old) & (now < h)).tolist():
+            level[v] = h
         del self.count[old + 1:]
         self.max_level = h
         self.gaps += 1
@@ -341,9 +426,12 @@ def bounded_push_relabel(
 ) -> tuple[Preflow, int, Cut | None]:
     """Route source mass to sinks or expose a low-conductance level cut.
 
-    Returns (preflow, total_excess, cut).  The cut is present whenever
-    excess > 0 and satisfies Phi < phi by exact recount; for degree-capped
-    instances both cut sides have volume at least the excess.  Passing
+    Returns (preflow, total_excess, cut).  On a degree-capped instance the
+    cut is present whenever excess > 0, satisfies Phi < phi by exact
+    recount, and both its sides have volume at least the excess.  Oversized
+    sources void that guarantee: an instance with ``check_degree_caps=False``
+    may end with excess and no level cut below phi, and the cut is then
+    None; any cut returned is still recounted below phi.  Passing
     ``early_cut_volume`` stops as soon as some level cut has Phi < phi and
     both sides' volumes reach that target; the preflow is then still a
     valid preflow, just not quiescent.
@@ -381,6 +469,8 @@ def bounded_push_relabel(
         found = _best_level_cut(g, solver.level, inst.phi, solver.max_level,
                                 alive=inst.alive)
     if found is None:
+        if not inst.check_degree_caps:
+            return pf, excess, None
         raise InternalInvariantBroken(
             "positive excess but no level cut below phi; solver bug"
         )
@@ -417,11 +507,14 @@ def decompose_preflow(g: MultiGraph, pf: Preflow, inst: FlowInstance) -> list[li
     for eid, t in zip(moving.tolist(), tail[moving].tolist()):
         out_arcs[t].append(eid)
     ptr = [0] * g.n
-    sink_left = [pf.absorbed(v) for v in range(g.n)]
-    excess_left = [pf.excess(v) for v in range(g.n)]
+    mass = _int_array(pf.mass)
+    absorbed = np.minimum(mass, pf.sink)
+    sink_left = absorbed.tolist()
+    excess_left = (mass - absorbed).tolist()
     paths: list[list[int]] = []
-    for a in range(g.n):
-        for _ in range(inst.source[a]):
+    source = inst.source.tolist()
+    for a in np.flatnonzero(inst.source).tolist():
+        for _ in range(source[a]):
             path = [a]
             pos = {a: 0}
             consumed: list[int] = []
@@ -499,13 +592,11 @@ def route_or_cut_1pair(
         raise InvalidInput("psi must lie in (0, 1)")
     delta = max(g.max_degree(), 1)
     phi = Fraction(psi) / delta
-    source = [0] * g.n
-    sink = [0] * g.n
-    for v in a:
-        source[v] = 1
-    for v in b:
-        sink[v] = 1
-    inst = FlowInstance(g, tuple(source), tuple(sink), phi)
+    source = np.zeros(g.n, dtype=np.int64)
+    sink = np.zeros(g.n, dtype=np.int64)
+    source[a] = 1
+    sink[b] = 1
+    inst = FlowInstance(g, source, sink, phi)
     interval = early_check_interval
     pf, excess, cut = bounded_push_relabel(
         inst,

@@ -16,7 +16,17 @@ isolated vertices with zero source and zero sink, so they sit at level 0
 and no level cut contains them.  The host CSR lists each vertex's live
 edges in edge-id order, as the rebuilt subgraph did, so the rounds push,
 relabel and cut exactly as they would there; a round costs no graph
-construction and reuses the host's cached slot lists.
+construction and reuses the host's cached slot and endpoint lists.  The
+live-edge mask and the live degrees (the sinks) are kept up to date when
+a cut is carved, from the edges that cut exposes, and sources and sinks
+reach the solver as arrays.  So a round's Python work follows the flow's
+footprint (see ``localflow``), and what scales with m is a few numpy
+passes over boolean and integer arrays and the solver's list set-up.
+
+The trimming loop trusts the caller's certificate Phi(g) >= phi.  With
+it, unabsorbed mass always exposes a level cut below phi; without it the
+solver may report excess and no such cut, and ``expander_prune`` raises
+``PreconditionViolated`` naming the premise.
 """
 
 from __future__ import annotations
@@ -27,8 +37,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, InternalInvariantBroken, InvalidInput
-from .graph import MultiGraph, _index_array, _side_mask, live_degrees, masked_subgraph
+from .errors import (
+    BudgetExceeded,
+    InternalInvariantBroken,
+    InvalidInput,
+    PreconditionViolated,
+)
+from .graph import MultiGraph, _index_array, _side_mask, masked_subgraph
 from .localflow import FlowInstance, bounded_push_relabel
 
 
@@ -42,7 +57,8 @@ def expander_prune(
     ``deleted`` lists distinct edge ids of g.  Returns (A, B); the caller's
     certificate Phi(g) >= phi is trusted (it is only checkable by brute
     force at small scale).  Raises BudgetExceeded when k exceeds
-    ceil(phi * |E| / 10).
+    ceil(phi * |E| / 10), and PreconditionViolated when a round leaves
+    excess that no level cut below phi explains, which shows Phi(g) < phi.
     """
     phi = Fraction(phi)
     if not (0 < phi <= 1):
@@ -69,17 +85,15 @@ def expander_prune(
     dead = np.zeros(g.m, dtype=bool)
     dead[dels] = True
     charge = np.bincount(np.concatenate([eu[dels], ev[dels]]), minlength=g.n)
-    # Live edges inside A; an edge leaves once it joins the boundary of B.
-    inside = ~dead
+    # The edges of (g - batch)[V - B] and their degrees; an edge leaves
+    # once an end of it joins B.
+    alive = ~dead
+    deg = g.deg - charge
     in_b = np.zeros(g.n, dtype=bool)
 
     for _ in range(g.volume() + 1):
         if in_b.all():
             raise InternalInvariantBroken("trimming consumed the whole graph")
-        # ``inside`` still holds the edges with both ends in B; without
-        # them the live edges are exactly those of (g - batch)[V - B].
-        alive = inside & ~in_b[eu] & ~in_b[ev]
-        deg = live_degrees(g, alive)
         stranded = np.flatnonzero(~in_b & (deg == 0) & (charge > 0))
         if stranded.size:
             # Charged vertices with no remaining edges cannot route their
@@ -87,25 +101,35 @@ def expander_prune(
             in_b[stranded] = True
             charge[stranded] = 0
             continue
-        source = tuple((unit * charge).tolist())
-        sink = tuple(deg.tolist())
-        if sum(source) > sum(sink):
+        source = unit * charge
+        if source.sum() > deg.sum():
             raise BudgetExceeded(
                 "trimming charge outgrew the remaining volume; the deletion "
                 "batch is too large for this phi at this scale"
             )
-        inst = FlowInstance(g, source, sink, phi, check_degree_caps=False,
+        inst = FlowInstance(g, source, deg, phi, check_degree_caps=False,
                             alive=alive)
         _, excess, cut = bounded_push_relabel(inst)
         if excess == 0:
             break
+        if cut is None:
+            raise PreconditionViolated(
+                f"trimming left excess {excess} and no level cut below "
+                f"phi={phi}; that cannot happen when Phi(g) >= phi, the "
+                "premise expander_prune trusts without checking it"
+            )
         carved = _index_array(cut.side)
         in_b[carved] = True
         charge[carved] = 0
-        crossing = inside & (in_b[eu] != in_b[ev])
-        outside = np.where(in_b[eu[crossing]], ev[crossing], eu[crossing])
-        charge += np.bincount(outside, minlength=g.n)
-        inside &= ~crossing  # now boundary edges, no longer inside A
+        b_u, b_v = in_b[eu], in_b[ev]
+        crossing = alive & (b_u != b_v)
+        outside = np.where(b_u[crossing], ev[crossing], eu[crossing])
+        joined = np.bincount(outside, minlength=g.n)
+        charge += joined  # the new boundary of B charges its outer ends
+        # fresh arrays, not in-place updates: the last instance keeps its own
+        deg = deg - joined
+        deg[carved] = 0
+        alive = alive & ~(b_u | b_v)
     else:
         raise InternalInvariantBroken("trimming did not converge")
 

@@ -60,6 +60,21 @@ def test_cut_stats_matches_recount_on_random_graphs():
         assert c.delta == cut_edge_count(g, side)
         assert c.vol_s == g.volume(side)
         assert c.vol_comp == g.volume() - c.vol_s
+    # multigraphs with self-loops, sides on either side of n/2, all edges
+    # live or under a mask, against a per-edge loop
+    rng = random.Random(5)
+    for seed in range(200):
+        n = rng.randint(2, 12)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 30))]
+        edges += edges[: rng.randint(0, 3)]  # parallel copies
+        g = MultiGraph(n, edges)
+        side = frozenset(rng.sample(range(n), rng.randint(1, n - 1)))
+        alive = None if seed % 2 else np.array([rng.random() < 0.7 for _ in edges], dtype=bool)
+        live = [e for eid, e in enumerate(edges) if alive is None or alive[eid]]
+        delta = sum((u in side) != (v in side) for u, v in live)
+        vol_s = sum((u in side) + (v in side) for u, v in live)
+        c = cut_stats(g, side, alive)
+        assert (c.delta, c.vol_s, c.vol_comp) == (delta, vol_s, 2 * len(live) - vol_s)
 
 
 def test_cut_stats_rejects_improper_sides():

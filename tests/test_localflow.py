@@ -380,20 +380,21 @@ def test_route_or_cut_1pair_against_networkx_max_flow(case):
         assert res.sparsity <= psi
 
 
-def _level_cut_reference(g, level, phi, max_level, needed_volume=0):
+def _level_cut_reference(g, level, phi, max_level, needed_volume=0, alive=None):
     """The per-edge loop ``_best_level_cut`` used before it counted through
-    ``threshold_cut_counts``."""
-    total_vol = g.volume()
+    ``threshold_cut_counts``, reading only ``alive`` edges when given."""
+    live = [(u, v) for eid, (u, v) in enumerate(g.edges) if alive is None or alive[eid]]
+    total_vol = 2 * len(live)
     diff = [0] * (max_level + 2)
-    for u, v in g.edges:
+    vol_at = [0] * (max_level + 2)
+    for u, v in live:
         lo, hi = sorted((min(level[u], max_level + 1), min(level[v], max_level + 1)))
         if lo < hi:
             diff[lo + 1] += 1
             if hi + 1 <= max_level + 1:
                 diff[hi + 1] -= 1
-    vol_at = [0] * (max_level + 2)
-    for v, d in enumerate(g.degrees()):
-        vol_at[min(level[v], max_level + 1)] += d
+        vol_at[lo] += 1
+        vol_at[hi] += 1
     best, delta, suffix = None, 0, total_vol
     for i in range(1, max_level + 1):
         delta += diff[i]
@@ -412,23 +413,35 @@ def _level_cut_reference(g, level, phi, max_level, needed_volume=0):
 
 
 def test_best_level_cut_matches_the_loop_reference():
+    """Random multigraphs with parallel edges and self-loops, all edges
+    live, under a random or an all-dead alive mask, and with no vertex
+    left at level 0."""
     from balcut.localflow import _best_level_cut
 
-    rng = random.Random(11)
-    hits = 0
-    for trial in range(300):
-        n = rng.randint(2, 14)
-        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 30))]
-        edges += edges[: rng.randint(0, 3)]  # parallel copies
-        g = MultiGraph(n, edges)
-        max_level = rng.randint(0, 6)
-        level = [rng.randint(0, max_level + 1) for _ in range(n)]
-        phi = Fraction(rng.randint(1, 4), rng.randint(4, 9))
-        needed = rng.choice([0, 0, 2, 5])
-        want = _level_cut_reference(g, level, phi, max_level, needed)
-        assert _best_level_cut(g, level, phi, max_level, needed) == want
-        hits += want is not None
-    assert hits > 50
+    hits = Counter()
+    for variant in ("all live", "alive mask", "all dead", "no level 0"):
+        rng = random.Random(11)
+        for trial in range(300):
+            n = rng.randint(2, 14)
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 30))]
+            edges += edges[: rng.randint(0, 3)]  # parallel copies
+            g = MultiGraph(n, edges)
+            max_level = rng.randint(0, 6)
+            level = [rng.randint(0, max_level + 1) for _ in range(n)]
+            phi = Fraction(rng.randint(1, 4), rng.randint(4, 9))
+            needed = rng.choice([0, 0, 2, 5])
+            alive = None
+            if variant == "alive mask":
+                alive = np.array([rng.random() < 0.7 for _ in range(g.m)])
+            elif variant == "all dead":
+                alive = np.zeros(g.m, dtype=bool)
+            elif variant == "no level 0":
+                level = [rng.randint(1, max_level + 1) for _ in range(n)]
+            want = _level_cut_reference(g, level, phi, max_level, needed, alive)
+            assert _best_level_cut(g, level, phi, max_level, needed, alive) == want
+            hits[variant] += want is not None
+    assert hits["all live"] > 50 and hits["alive mask"] > 40, hits
+    assert hits["no level 0"] > 20 and hits["all dead"] == 0, hits
 
 
 def test_best_level_cut_scores_only_occupied_levels(monkeypatch):
@@ -436,14 +449,14 @@ def test_best_level_cut_scores_only_occupied_levels(monkeypatch):
     same answer as the loop over every threshold, counted over ranks."""
     from balcut.localflow import _best_level_cut
 
-    real = localflow.threshold_cut_counts
+    real = localflow._raised_level_counts
     tops = []
 
-    def counting(g, key, top, *alive):
+    def counting(g, raised, rank, top, alive):
         tops.append(top)
-        return real(g, key, top, *alive)
+        return real(g, raised, rank, top, alive)
 
-    monkeypatch.setattr(localflow, "threshold_cut_counts", counting)
+    monkeypatch.setattr(localflow, "_raised_level_counts", counting)
     rng = random.Random(7)
     hits = 0
     for trial in range(2):
@@ -674,6 +687,42 @@ def test_masked_instance_matches_the_live_subgraph():
     assert cuts >= 20
 
 
+def _assert_on_the_footprint(inst, pf, cut):
+    """Nonzero flow and the level cut stay on R = {v : level(v) > 0}."""
+    g = inst.g
+    raised = np.array(pf.level) > 0
+    moving = np.flatnonzero(pf.flow)
+    assert (raised[g.eu[moving]] | raised[g.ev[moving]]).all()
+    if cut is not None:
+        assert raised[sorted(cut.side)].all()
+
+
+def test_flow_and_level_cuts_stay_on_the_footprint():
+    early = {"early_cut_volume": 1, "check_interval": 1}
+    seen = Counter()
+    for seed in range(300):
+        g, keep, alive, source, sink, phi, capped = _masked_instance(seed)
+        inst = FlowInstance(g, source, sink, phi, check_degree_caps=capped, alive=alive)
+        for kw in ({}, early):
+            pf, excess, cut = bounded_push_relabel(inst, **kw)
+            _assert_on_the_footprint(inst, pf, cut)
+            seen["cuts"] += cut is not None
+    for kind in ("bridged", "disconnected", "trimming"):
+        for seed in range(6):
+            inst = _stranding_instance(kind, seed)
+            for kw in ({}, early):
+                pf, excess, cut = bounded_push_relabel(inst, **kw)
+                _assert_on_the_footprint(inst, pf, cut)
+                # stopped early: some vertex still holds excess below the cap
+                seen["early stops"] += any(
+                    m > s and lvl < inst.height_cap
+                    for m, s, lvl in zip(pf.mass, pf.sink, pf.level))
+    inst = _degree_capped_bridge()
+    pf, excess, cut = bounded_push_relabel(inst, early_cut_volume=8, check_interval=250)
+    _assert_on_the_footprint(inst, pf, cut)
+    assert seen["cuts"] >= 40 and seen["early stops"] >= 12, seen
+
+
 def test_validate_rejects_flow_on_a_dead_edge():
     g = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
     alive = np.array([True, True, False])
@@ -684,6 +733,75 @@ def test_validate_rejects_flow_on_a_dead_edge():
     pf.validate(FlowInstance(g, inst.source, inst.sink, inst.phi))  # balanced
     with pytest.raises(InternalInvariantBroken, match="dead edge"):
         pf.validate(inst)
+
+
+def test_validate_catches_violations_on_and_off_the_footprint(monkeypatch):
+    from balcut.generators import random_regularish_graph
+
+    full = Counter()
+    real = Preflow._recount_all_edges
+
+    def counting(self, inst):
+        full["recounts"] += 1
+        return real(self, inst)
+
+    monkeypatch.setattr(Preflow, "_recount_all_edges", counting)
+    # a trimming-style charge on one vertex of a sparse masked graph
+    g = random_regularish_graph(60, 4, 1)
+    rng = random.Random(1)
+    alive = np.array([rng.random() < 0.9 for _ in range(g.m)])
+    alive[g.inc[g.indptr[0]]] = False  # a dead edge at the charged vertex
+    source = np.zeros(g.n, dtype=np.int64)
+    source[0] = 20
+    inst = FlowInstance(g, source, live_degrees(g, alive), Fraction(1, 2),
+                        check_degree_caps=False, alive=alive)
+    pf, excess, _ = bounded_push_relabel(inst)
+    level, mass, cap = pf.level, pf.mass, inst.congestion_cap
+    assert excess == 0 and sum(lvl > 0 for lvl in level) == 3
+    assert full["recounts"] == 0  # the solver's flow lies on R's edges
+    # edges with both ends at level 0: a dead one, and a live one with mass
+    # at an end, from which a unit can move
+    flat = [eid for eid, (u, v) in enumerate(g.edges) if level[u] == level[v] == 0]
+    dead = next(eid for eid in flat if not alive[eid])
+    live = next(eid for eid in flat if alive[eid] and any(mass[x] for x in g.edges[eid]))
+    u, v = g.edges[live]
+    way = 1 if mass[u] else -1  # positive flow runs from u to v
+
+    def injected(eid, units, move_mass):
+        bad = Preflow(list(pf.flow), level, list(mass), pf.source, pf.sink)
+        bad.flow[eid] += units
+        if move_mass:
+            tail, head = g.edges[eid]
+            bad.mass[tail] -= units
+            bad.mass[head] += units
+        return bad
+
+    with pytest.raises(InternalInvariantBroken, match=f"^mass mismatch at vertex {min(u, v)}$"):
+        injected(live, way, False).validate(inst)
+    with pytest.raises(InternalInvariantBroken, match="^edge congestion above cap$"):
+        injected(live, way * (cap + 1), True).validate(inst)
+    with pytest.raises(InternalInvariantBroken, match="^flow on a dead edge$"):
+        injected(dead, 1, True).validate(inst)
+    # one unit moved along a live edge, masses updated: still a preflow
+    injected(live, way, True).validate(inst)
+    assert full["recounts"] == 4
+    # On R's edges the proof holds, and the recount over them catches
+    # the violation before the full recount reports it.
+    raised = [x for x in range(g.n) if level[x] > 0]
+    touching = [eid for eid, (x, y) in enumerate(g.edges)
+                if pf.flow[eid] == 0 and {x, y} & set(raised)]
+    dead_at_r = next(eid for eid in touching if not alive[eid])
+    with pytest.raises(InternalInvariantBroken, match="^flow on a dead edge$"):
+        injected(dead_at_r, 1, True).validate(inst)
+    live_at_r = next(eid for eid in touching if alive[eid])
+    tail = g.edges[live_at_r][0]
+    with pytest.raises(InternalInvariantBroken, match=f"^negative mass at vertex {tail}$"):
+        injected(live_at_r, mass[tail] + 1, True).validate(inst)
+    # one more unit down a saturated edge: only the cap is broken
+    saturated = next(eid for eid, f in enumerate(pf.flow) if abs(f) == cap)
+    with pytest.raises(InternalInvariantBroken, match="^edge congestion above cap$"):
+        injected(saturated, pf.flow[saturated] // cap, True).validate(inst)
+    assert full["recounts"] == 7
 
 
 def test_alive_mask_must_be_a_boolean_array_over_the_edges():
@@ -718,6 +836,12 @@ def test_expander_prune_trims_on_the_host_graph(monkeypatch):
         calls["slots built"] += self._slots is None
         return real_slots(self)
 
+    real_eu_list = MultiGraph.eu_list.fget
+
+    def counting_eu_list(self):
+        calls["eu list built"] += self._eu_list is None
+        return real_eu_list(self)
+
     real_flow = pruning.bounded_push_relabel
 
     def counting_flow(inst):
@@ -728,8 +852,9 @@ def test_expander_prune_trims_on_the_host_graph(monkeypatch):
     monkeypatch.setattr(pruning, "masked_subgraph", forbidden)
     monkeypatch.setattr(MultiGraph, "_from_arrays", forbidden)
     monkeypatch.setattr(MultiGraph, "slots", property(counting_slots))
+    monkeypatch.setattr(MultiGraph, "eu_list", property(counting_eu_list))
     monkeypatch.setattr(pruning, "bounded_push_relabel", counting_flow)
     # deleting both attachments cuts off the pendant K4, which round 1 carves
     a, b = pruning.expander_prune(g, Fraction(1, 4), [g.m - 2, g.m - 1])
     assert b == {30, 31, 32, 33}
-    assert calls == {"rounds": 2, "slots built": 1}
+    assert calls == {"rounds": 2, "slots built": 1, "eu list built": 1}

@@ -7,13 +7,21 @@ import numpy as np
 import pytest
 
 import balcut.pruning as pruning
-from balcut.errors import BudgetExceeded, InternalInvariantBroken, InvalidInput
+from balcut.cli import dispatch
+from balcut.errors import (
+    BudgetExceeded,
+    InternalInvariantBroken,
+    InvalidInput,
+    PreconditionViolated,
+)
 from balcut.expanders import construct_expander
+from balcut.fileio import write_graph
 from balcut.generators import complete_graph, random_regularish_graph
 from balcut.graph import (
     MultiGraph,
     _index_array,
     brute_force_extremum,
+    cut_stats,
     graph_conductance,
     is_connected,
     live_degrees,
@@ -165,6 +173,12 @@ def rebuild_prune(g, phi, deleted):
         _, excess, cut = pruning.bounded_push_relabel(inst)
         if excess == 0:
             break
+        if cut is None:
+            raise PreconditionViolated(
+                f"trimming left excess {excess} and no level cut below "
+                f"phi={phi}; that cannot happen when Phi(g) >= phi, the "
+                "premise expander_prune trusts without checking it"
+            )
         carved = members[_index_array(cut.side)]
         in_b[carved] = True
         charge[carved] = 0
@@ -220,7 +234,8 @@ def test_host_graph_trimming_matches_the_rebuild_reference(monkeypatch):
         pf, excess, cut = real(inst)
         cut_counts = None if cut is None else (cut.delta, cut.vol_s, cut.vol_comp)
         levels = sorted(x for x in pf.level if x > 0)  # id-free
-        rounds.append((inst.height_cap, excess, levels, cut_counts))
+        # the sink total is the live volume of (g - batch)[V - B]
+        rounds.append((inst.height_cap, excess, levels, cut_counts, int(inst.sink.sum())))
         return pf, excess, cut
 
     monkeypatch.setattr(pruning, "bounded_push_relabel", recording)
@@ -229,7 +244,7 @@ def test_host_graph_trimming_matches_the_rebuild_reference(monkeypatch):
         rounds.clear()
         try:
             result = prune(g, phi, dels)
-        except (BudgetExceeded, InternalInvariantBroken) as exc:
+        except (BudgetExceeded, InternalInvariantBroken, PreconditionViolated) as exc:
             result = (type(exc).__name__, str(exc))
         return result, list(rounds)
 
@@ -244,6 +259,7 @@ def test_host_graph_trimming_matches_the_rebuild_reference(monkeypatch):
         if result[0] == "BudgetExceeded":  # which of the three checks
             message = result[1]
             seen["outgrew" if "outgrew" in message else message[:2]] += 1
+        seen["premise"] += result[0] == "PreconditionViolated"
         seen["multi-round"] += sum(r[3] is not None for r in want_rounds) >= 2
         alive = np.ones(g.m, dtype=bool)
         alive[dels] = False
@@ -254,4 +270,23 @@ def test_host_graph_trimming_matches_the_rebuild_reference(monkeypatch):
         seen["lower cap"] += any(r[0] < host_cap for r in want_rounds)
     assert seen["multi-round"] >= 2
     assert min(seen["stranded"], seen["parallel"], seen["lower cap"]) >= 5
-    assert min(seen["k="], seen["tr"], seen["outgrew"]) >= 1, seen
+    assert min(seen["k="], seen["tr"], seen["outgrew"], seen["premise"]) >= 1, seen
+
+
+def test_host_below_phi_is_a_precondition_violation(tmp_path, capsys):
+    # Trimming trusts Phi(g) >= phi.  Here the chain {20, ..., 25} hangs
+    # off the rest by one edge, and its far end loses three edges.
+    g, phi, dels = _chain_case(58)
+    assert cut_stats(g, range(20, 26)).conductance == Fraction(1, 19) < phi
+    message = ("trimming left excess 3 and no level cut below phi=1/2; that "
+               "cannot happen when Phi(g) >= phi, the premise expander_prune "
+               "trusts without checking it")
+    with pytest.raises(PreconditionViolated) as caught:
+        expander_prune(g, phi, dels)
+    assert str(caught.value) == message
+    gfile, dfile = tmp_path / "chain.txt", tmp_path / "del.txt"
+    with open(gfile, "w") as fh:
+        write_graph(g, fh)
+    dfile.write_text("".join(f"{eid}\n" for eid in dels))
+    assert dispatch(["prune", "--phi", str(phi), "--deleted", str(dfile), str(gfile)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
