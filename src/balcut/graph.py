@@ -253,22 +253,32 @@ def cut_stats(g: MultiGraph, s: Iterable[int], alive: np.ndarray | None = None) 
     """Compute delta, volumes, conductance and sparsity of a proper cut.
 
     With a boolean edge mask ``alive``, only live edges count towards the
-    crossing edges and the volumes; every vertex of ``g`` stays.  Counted
-    over the slots of the side with fewer vertices: each crossing edge has
-    one slot there, so a small side costs O(vol(S)), not O(m)."""
+    crossing edges and the volumes; every vertex of ``g`` stays.
+
+    When one side holds at most a quarter of g's volume, the counts read
+    that side's slots: each crossing edge has one slot there, so a small
+    side (a trimming cut) costs O(vol), not O(m).  Otherwise one pass over
+    the edge endpoints is the cheaper count (a balanced cut)."""
     side = frozenset(int(v) for v in s)
     if not side or len(side) >= g.n:
         raise InvalidCut(f"cut side must be proper: |S|={len(side)}, n={g.n}")
     if any(v < 0 or v >= g.n for v in side):
         raise InvalidCut("cut side contains an out-of-range vertex")
     mask = _side_mask(g.n, side)
-    counted_s = 2 * len(side) <= g.n
-    slot, _ = incident_slots(g, np.flatnonzero(mask if counted_s else ~mask))
-    if alive is not None:
-        slot = slot[alive[g.inc[slot]]]
     total = 2 * (g.m if alive is None else int(np.count_nonzero(alive)))
-    delta = int(np.count_nonzero(mask[g.nbr[slot]] != counted_s))
-    vol_s = len(slot) if counted_s else total - len(slot)
+    host_vol, host_total = int(g.deg[mask].sum()), g.volume()
+    small = mask if 2 * host_vol <= host_total else ~mask
+    if 4 * min(host_vol, host_total - host_vol) <= host_total:
+        slot, _ = incident_slots(g, np.flatnonzero(small))
+        if alive is not None:
+            slot = slot[alive[g.inc[slot]]]
+        delta = int(np.count_nonzero(~small[g.nbr[slot]]))
+        vol_s = len(slot) if small is mask else total - len(slot)
+    else:
+        eu, ev = (g.eu, g.ev) if alive is None else (g.eu[alive], g.ev[alive])
+        in_u, in_v = mask[eu], mask[ev]
+        delta = int(np.count_nonzero(in_u != in_v))
+        vol_s = int(np.count_nonzero(in_u)) + int(np.count_nonzero(in_v))
     vol_comp = total - vol_s
     min_vol = min(vol_s, vol_comp)
     min_size = min(len(side), g.n - len(side))

@@ -27,13 +27,13 @@ Footprint: let R = {v : level(v) > 0}.  A push goes from level l to level
 l - 1 >= 0, so every pushing vertex is in R and every edge with nonzero
 flow touches R; every level cut {level >= i} with i >= 1 lies inside R.
 So the level-cut counts and the preflow recount read R's incidence slots,
-and ``cut_stats`` recounts a returned cut over its smaller side's slots;
+and ``cut_stats`` recounts a small returned cut over its side's slots;
 their Python and numpy work is about O(vol(R) log vol(R)).  Past the
 discharges, what a call still pays in O(n + m) is C-level: the solver's
-lists (``[0] * m``, ``tolist`` of sources and sinks, a copy of the slot
-list under a mask), one conversion each of the level and mass lists,
-``flow.count(0)`` and boolean passes over edge masks.  A trimming round
-that moves mass near a small deleted batch thus costs about its
+lists (``[0] * m``, the instance's tuples of sources and sinks, a copy of
+the slot list under a mask), one conversion each of the level and mass
+lists, ``flow.count(0)`` and boolean passes over edge masks.  A trimming
+round that moves mass near a small deleted batch thus costs about its
 footprint in Python, not m.  When Vol(R) exceeds m/2 the preflow recount
 reads every edge instead, which is cheaper there.
 """
@@ -43,7 +43,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -65,7 +65,9 @@ class FlowInstance:
     """A unit-flow problem: per-vertex integral sources and sinks.
 
     ``source`` and ``sink`` may be given as any integer sequences; they are
-    kept as int64 arrays, and an int64 array is kept as it is, not copied.
+    kept as tuples of ints, and as read-only int64 copies in
+    ``source_array`` and ``sink_array`` for the vectorized passes, so a
+    caller's later edits to its own arrays never reach the instance.
 
     ``check_degree_caps=False`` relaxes the per-vertex bounds
     source(v) <= deg(v) and sink(v) <= deg(v); the expander trimming loop
@@ -82,11 +84,13 @@ class FlowInstance:
     """
 
     g: MultiGraph
-    source: np.ndarray
-    sink: np.ndarray
+    source: tuple[int, ...]
+    sink: tuple[int, ...]
     phi: Fraction
     check_degree_caps: bool = True
     alive: np.ndarray | None = None
+    source_array: np.ndarray = field(init=False, repr=False, compare=False)
+    sink_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.g
@@ -96,14 +100,17 @@ class FlowInstance:
             and alive.shape == (g.m,)
         ):
             raise InvalidInput("alive must be a boolean array with one entry per edge")
+        if alive is not None:
+            object.__setattr__(self, "alive", _frozen_array(alive, bool))
         if len(self.source) != g.n or len(self.sink) != g.n:
             raise InvalidInput("source/sink functions must cover every vertex")
         if not (0 < self.phi <= 1):
             raise InvalidInput(f"phi must lie in (0, 1], got {self.phi}")
-        source = np.asarray(self.source, dtype=np.int64)
-        sink = np.asarray(self.sink, dtype=np.int64)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "sink", sink)
+        source = _frozen_array(self.source, np.int64)
+        sink = _frozen_array(self.sink, np.int64)
+        for name, arr in (("source", source), ("sink", sink)):
+            object.__setattr__(self, name, tuple(arr.tolist()))
+            object.__setattr__(self, name + "_array", arr)
         if (source < 0).any() or (sink < 0).any():
             raise InvalidInput("source and sink values must be nonnegative")
         if source.sum() > sink.sum():
@@ -172,7 +179,7 @@ class Preflow:
             return False
         if inst.alive is not None and f[~inst.alive[eids]].any():
             return False
-        net = inst.source.copy()
+        net = inst.source_array.copy()
         np.add.at(net, g.ev[eids], f)
         np.subtract.at(net, g.eu[eids], f)
         return not (net < 0).any() and net.tolist() == self.mass
@@ -185,7 +192,7 @@ class Preflow:
         if inst.alive is not None and flow[~inst.alive].any():
             raise InternalInvariantBroken("flow on a dead edge")
         # net inflow, in exact int64; a self-loop's flow enters and leaves
-        net = np.array(inst.source, dtype=np.int64)
+        net = inst.source_array.copy()
         np.add.at(net, g.ev, flow)
         np.subtract.at(net, g.eu, flow)
         mass = _int_array(self.mass)
@@ -196,6 +203,13 @@ class Preflow:
                 raise InternalInvariantBroken(f"mass mismatch at vertex {v}")
             # equivalent to net outflow exceeding the vertex's source mass
             raise InternalInvariantBroken(f"negative mass at vertex {v}")
+
+
+def _frozen_array(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values`` as an array of ``dtype``."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
 def _int_array(values: Sequence[int]) -> np.ndarray:
@@ -281,7 +295,7 @@ def _raised_level_counts(g: MultiGraph, raised: np.ndarray, rank: np.ndarray,
 class _PushRelabel:
     def __init__(self, inst: FlowInstance):
         g = inst.g
-        self.sink = inst.sink.tolist()
+        self.sink = inst.sink
         self.indptr, self.inc, self.nbr = g.slots
         if inst.alive is not None:
             # Point every dead slot back at its owner.  The walk treats such
@@ -298,7 +312,7 @@ class _PushRelabel:
         self.h = inst.height_cap
         self.flow = [0] * g.m
         self.level = [0] * g.n
-        self.mass = inst.source.tolist()
+        self.mass = list(inst.source)
         self.ptr = self.indptr[:-1]  # the next slot each vertex scans
         self.max_level = 0
         self.work = 0
@@ -311,7 +325,7 @@ class _PushRelabel:
         self.buckets: dict[int, deque[int]] = {}
         self.level_heap: list[int] = []
         self.queued = bytearray(g.n)
-        for v in np.flatnonzero(inst.source > inst.sink).tolist():
+        for v in np.flatnonzero(inst.source_array > inst.sink_array).tolist():
             self._enqueue(v, 0)
 
     def _enqueue(self, v: int, lvl: int) -> None:
@@ -451,7 +465,8 @@ def bounded_push_relabel(
         early_check=early,
         check_interval=check_interval if early_cut_volume is not None else None,
     )
-    pf = Preflow(solver.flow, solver.level, solver.mass, inst.source, inst.sink)
+    pf = Preflow(solver.flow, solver.level, solver.mass,
+                 inst.source_array, inst.sink_array)
     pf.validate(inst)
     excess = pf.total_excess()
     if hit is not None:
@@ -512,8 +527,8 @@ def decompose_preflow(g: MultiGraph, pf: Preflow, inst: FlowInstance) -> list[li
     sink_left = absorbed.tolist()
     excess_left = (mass - absorbed).tolist()
     paths: list[list[int]] = []
-    source = inst.source.tolist()
-    for a in np.flatnonzero(inst.source).tolist():
+    source = inst.source
+    for a in np.flatnonzero(inst.source_array).tolist():
         for _ in range(source[a]):
             path = [a]
             pos = {a: 0}

@@ -25,8 +25,9 @@ passes over boolean and integer arrays and the solver's list set-up.
 
 The trimming loop trusts the caller's certificate Phi(g) >= phi.  With
 it, unabsorbed mass always exposes a level cut below phi; without it the
-solver may report excess and no such cut, and ``expander_prune`` raises
-``PreconditionViolated`` naming the premise.
+solver may report excess and no such cut, or B may outgrow the recounted
+bounds, and ``expander_prune`` then raises ``PreconditionViolated`` naming
+the premise.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def expander_prune(
     certificate Phi(g) >= phi is trusted (it is only checkable by brute
     force at small scale).  Raises BudgetExceeded when k exceeds
     ceil(phi * |E| / 10), and PreconditionViolated when a round leaves
-    excess that no level cut below phi explains, which shows Phi(g) < phi.
+    excess that no level cut below phi explains, or when B breaks the
+    boundary or volume bound; either shows Phi(g) < phi.
     """
     phi = Fraction(phi)
     if not (0 < phi <= 1):
@@ -115,8 +117,7 @@ def expander_prune(
         if cut is None:
             raise PreconditionViolated(
                 f"trimming left excess {excess} and no level cut below "
-                f"phi={phi}; that cannot happen when Phi(g) >= phi, the "
-                "premise expander_prune trusts without checking it"
+                f"phi={phi}; {_PREMISE}"
             )
         carved = _index_array(cut.side)
         in_b[carved] = True
@@ -126,10 +127,9 @@ def expander_prune(
         outside = np.where(b_u[crossing], ev[crossing], eu[crossing])
         joined = np.bincount(outside, minlength=g.n)
         charge += joined  # the new boundary of B charges its outer ends
-        # fresh arrays, not in-place updates: the last instance keeps its own
-        deg = deg - joined
+        deg -= joined
         deg[carved] = 0
-        alive = alive & ~(b_u | b_v)
+        alive &= ~(b_u | b_v)
     else:
         raise InternalInvariantBroken("trimming did not converge")
 
@@ -138,17 +138,24 @@ def expander_prune(
             frozenset(np.flatnonzero(in_b).tolist()))
 
 
+_PREMISE = ("that cannot happen when Phi(g) >= phi, the premise "
+            "expander_prune trusts without checking it")
+
+
 def _recount(g, phi, dead, in_b, k) -> None:
+    """Recount the pruning bounds.  They are theorems of Phi(g) >= phi, so a
+    failed bound shows that the caller's certificate is false."""
     boundary = int(np.count_nonzero(~dead & (in_b[g.eu] != in_b[g.ev])))
     if boundary > 4 * k:
-        raise InternalInvariantBroken(
-            f"pruned boundary {boundary} exceeds 4k = {4 * k}"
+        raise PreconditionViolated(
+            f"pruned boundary {boundary} exceeds 4k = {4 * k}; {_PREMISE}"
         )
     # Vol(B) <= 8k/phi, compared exactly by cross-multiplication
     vol_b = int(g.deg[in_b].sum())
     if vol_b * phi.numerator > 8 * k * phi.denominator:
-        raise InternalInvariantBroken(
-            f"pruned volume {vol_b} exceeds 8k/phi = {float(8 * k / phi):.2f}"
+        raise PreconditionViolated(
+            f"pruned volume {vol_b} exceeds 8k/phi = "
+            f"{float(8 * k / phi):.2f}; {_PREMISE}"
         )
 
 

@@ -1,5 +1,5 @@
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
@@ -60,9 +60,10 @@ def test_cut_stats_matches_recount_on_random_graphs():
         assert c.delta == cut_edge_count(g, side)
         assert c.vol_s == g.volume(side)
         assert c.vol_comp == g.volume() - c.vol_s
-    # multigraphs with self-loops, sides on either side of n/2, all edges
+    # multigraphs with self-loops, sides small and balanced, all edges
     # live or under a mask, against a per-edge loop
     rng = random.Random(5)
+    paths = Counter()
     for seed in range(200):
         n = rng.randint(2, 12)
         edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 30))]
@@ -75,6 +76,12 @@ def test_cut_stats_matches_recount_on_random_graphs():
         vol_s = sum((u in side) + (v in side) for u, v in live)
         c = cut_stats(g, side, alive)
         assert (c.delta, c.vol_s, c.vol_comp) == (delta, vol_s, 2 * len(live) - vol_s)
+        # a side with at most a quarter of the host volume is counted from
+        # its slots, a balanced one from the edge endpoints
+        host_vol = g.volume(side)
+        paths["slots" if 4 * min(host_vol, g.volume() - host_vol) <= g.volume()
+              else "edges"] += 1
+    assert min(paths.values()) >= 40 and len(paths) == 2, paths
 
 
 def test_cut_stats_rejects_improper_sides():

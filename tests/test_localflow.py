@@ -817,6 +817,25 @@ def test_alive_mask_must_be_a_boolean_array_over_the_edges():
         FlowInstance(g, (1, 0, 0), (0, 0, 1), Fraction(1, 2), alive=np.array([False, True]))
 
 
+def test_instance_keeps_its_own_read_only_arrays():
+    g = MultiGraph(3, [(0, 1), (1, 2)])
+    source = np.array([1, 0, 0], dtype=np.int64)
+    sink = np.array([0, 0, 1], dtype=np.int64)
+    alive = np.array([True, True])
+    inst = FlowInstance(g, source, sink, Fraction(1, 2), alive=alive)
+    # sources and sinks read as Python ints, as counters and JSON need
+    assert inst.source == (1, 0, 0) and inst.sink == (0, 0, 1)
+    assert type(sum(inst.source)) is int and type(inst.sink[2]) is int
+    # the caller's later edits do not reach the instance or its preflows
+    source[0], sink[2], alive[1] = 0, 0, False
+    pf, excess, cut = bounded_push_relabel(inst)
+    assert (pf.flow, excess, cut) == ([1, 1], 0, None)
+    for kept in (inst.source_array, inst.sink_array, inst.alive, pf.source, pf.sink):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 1
+    assert inst.source_array.tolist() == [1, 0, 0] and inst.alive.tolist() == [True, True]
+
+
 def test_expander_prune_trims_on_the_host_graph(monkeypatch):
     import balcut.graph as graph
     import balcut.pruning as pruning

@@ -235,7 +235,7 @@ def test_host_graph_trimming_matches_the_rebuild_reference(monkeypatch):
         cut_counts = None if cut is None else (cut.delta, cut.vol_s, cut.vol_comp)
         levels = sorted(x for x in pf.level if x > 0)  # id-free
         # the sink total is the live volume of (g - batch)[V - B]
-        rounds.append((inst.height_cap, excess, levels, cut_counts, int(inst.sink.sum())))
+        rounds.append((inst.height_cap, excess, levels, cut_counts, sum(inst.sink)))
         return pf, excess, cut
 
     monkeypatch.setattr(pruning, "bounded_push_relabel", recording)
@@ -274,19 +274,29 @@ def test_host_graph_trimming_matches_the_rebuild_reference(monkeypatch):
 
 
 def test_host_below_phi_is_a_precondition_violation(tmp_path, capsys):
-    # Trimming trusts Phi(g) >= phi.  Here the chain {20, ..., 25} hangs
-    # off the rest by one edge, and its far end loses three edges.
-    g, phi, dels = _chain_case(58)
-    assert cut_stats(g, range(20, 26)).conductance == Fraction(1, 19) < phi
-    message = ("trimming left excess 3 and no level cut below phi=1/2; that "
-               "cannot happen when Phi(g) >= phi, the premise expander_prune "
-               "trusts without checking it")
-    with pytest.raises(PreconditionViolated) as caught:
-        expander_prune(g, phi, dels)
-    assert str(caught.value) == message
-    gfile, dfile = tmp_path / "chain.txt", tmp_path / "del.txt"
-    with open(gfile, "w") as fh:
-        write_graph(g, fh)
-    dfile.write_text("".join(f"{eid}\n" for eid in dels))
-    assert dispatch(["prune", "--phi", str(phi), "--deleted", str(dfile), str(gfile)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    # Trimming trusts Phi(g) >= phi.  In case 58 the chain {20, ..., 25}
+    # hangs off the rest by one edge, and its far end loses three edges:
+    # a round ends with excess and no level cut below phi.  In case 245
+    # the chain {22, ..., 33} does, and B outgrows the volume bound.
+    premise = ("that cannot happen when Phi(g) >= phi, the premise "
+               "expander_prune trusts without checking it")
+    cases = [
+        (58, range(20, 26), Fraction(1, 19),
+         "trimming left excess 3 and no level cut below phi=1/2; "),
+        (245, range(22, 34), Fraction(1, 51),
+         "pruned volume 51 exceeds 8k/phi = 48.00; "),
+    ]
+    for seed, chain, conductance, what in cases:
+        g, phi, dels = _chain_case(seed)
+        assert cut_stats(g, chain).conductance == conductance < phi
+        message = what + premise
+        with pytest.raises(PreconditionViolated) as caught:
+            expander_prune(g, phi, dels)
+        assert str(caught.value) == message
+        gfile, dfile = tmp_path / f"chain{seed}.txt", tmp_path / f"del{seed}.txt"
+        with open(gfile, "w") as fh:
+            write_graph(g, fh)
+        dfile.write_text("".join(f"{eid}\n" for eid in dels))
+        args = ["prune", "--phi", str(phi), "--deleted", str(dfile), str(gfile)]
+        assert dispatch(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
