@@ -13,7 +13,6 @@ against brute-force oracles at small scale.
 from .cutmatch import (
     BalancedCutMove,
     CertifiedSubset,
-    CutPlayerParams,
     Witness,
     cmg_drive,
     cut_or_certify,
@@ -77,7 +76,6 @@ __all__ = [
     "BalcutError",
     "CertifiedSubset",
     "Cut",
-    "CutPlayerParams",
     "DecompositionResult",
     "ESTree",
     "FlowInstance",

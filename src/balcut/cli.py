@@ -14,10 +14,11 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from . import fileio
 from .cutmatch import (
     CertifiedSubset,
-    CutPlayerParams,
     WALK_POTENTIAL_CAP,
     cut_or_certify,
     walk_potential,
@@ -30,7 +31,7 @@ from .driver import (
     sparsest_cut,
     WitnessResult,
 )
-from .errors import BalcutError, InternalInvariantBroken, InvalidInput
+from .errors import BalcutError, InternalInvariantBroken, InvalidInput, InvalidParam
 from .expanders import construct_expander, gabber_galil
 from .generators import barbell_graph, random_graph
 from .graph import MultiGraph, brute_force_extremum, cut_stats
@@ -70,8 +71,6 @@ def _labels_from_sides(n: int, a_side) -> list[int]:
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="balcut", description=__doc__)
-    top.add_argument("--strict", action="store_true",
-                     help="promote reported asymptotic bounds to hard assertions")
     top.add_argument("--timings", action="store_true",
                      help="include wall-clock timings in reports")
     sub = top.add_subparsers(dest="command", required=True)
@@ -130,16 +129,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_decompose(args) -> int:
     g = _open_graph(args.graph, args.allow_self_loops)
-    params = CutPlayerParams(r=args.r, strict=args.strict)
     t0 = time.perf_counter()
-    dec = expander_decomposition(g, args.eps, args.r, params)
+    dec = expander_decomposition(g, args.eps, args.r)
     labels = [0] * g.n
     for ci, cluster in enumerate(dec.clusters):
         for v in cluster:
             labels[v] = ci
     report = {
         "command": "decompose",
-        "parameters": {"eps": args.eps, "r": args.r, "strict": args.strict},
+        "parameters": {"eps": args.eps, "r": args.r},
         "clusters": len(dec.clusters),
         "inter_cluster_edges": dec.inter_cluster_edges,
         "inter_cluster_budget": args.eps * Fraction(g.volume()),
@@ -155,12 +153,11 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_balcut(args) -> int:
     g = _open_graph(args.graph, args.allow_self_loops)
-    params = CutPlayerParams(r=args.r, strict=args.strict)
     t0 = time.perf_counter()
-    res = bal_cut_prune(g, args.phi, args.r, params)
+    res = bal_cut_prune(g, args.phi, args.r)
     report = {
         "command": "balcut",
-        "parameters": {"phi": args.phi, "r": args.r, "strict": args.strict},
+        "parameters": {"phi": args.phi, "r": args.r},
         "branch": res.branch,
         "cut_edges": res.cut_edges,
         "alpha": res.alpha,
@@ -177,13 +174,12 @@ def _cmd_balcut(args) -> int:
 
 def _cmd_value_cut(args, which: str) -> int:
     g = _open_graph(args.graph, args.allow_self_loops)
-    params = CutPlayerParams(r=args.r, strict=args.strict)
     t0 = time.perf_counter()
     fn = sparsest_cut if which == "sparsest" else lowest_conductance_cut
-    res = fn(g, args.r, params)
+    res = fn(g, args.r)
     report = {
         "command": which,
-        "parameters": {"r": args.r, "strict": args.strict},
+        "parameters": {"r": args.r},
         "value": res.value,
         "floor": res.floor,
         "factor": res.factor,
@@ -198,9 +194,8 @@ def _cmd_value_cut(args, which: str) -> int:
 
 def _cmd_certify(args) -> int:
     g = _open_graph(args.graph, args.allow_self_loops)
-    params = CutPlayerParams(r=args.r, strict=args.strict)
     t0 = time.perf_counter()
-    res = cut_or_certify(g, params)
+    res = cut_or_certify(g, args.r)
     if isinstance(res, CertifiedSubset):
         report = {
             "command": "certify",
@@ -222,7 +217,7 @@ def _cmd_certify(args) -> int:
         }
         labels = _labels_from_sides(g.n, res.a_side)
     if args.diagnostics and g.n >= 2:
-        game = iterations_final_cut(g, Fraction(1, 4), g.n, args.r, params) \
+        game = iterations_final_cut(g, Fraction(1, 4), g.n, args.r) \
             if g.m else None
         if isinstance(game, WitnessResult):
             rounds = game.witness.rounds
@@ -241,11 +236,11 @@ def _cmd_prune(args) -> int:
         deleted = fileio.parse_deleted(fh, g)
     t0 = time.perf_counter()
     a, b = expander_prune(g, args.phi, deleted)
-    dead = set(deleted)
-    boundary = sum(
-        1 for eid, (u, v) in enumerate(g.edges)
-        if eid not in dead and (u in a) != (v in a)
-    )
+    in_a = np.zeros(g.n, dtype=bool)
+    in_a[list(a)] = True
+    alive = np.ones(g.m, dtype=bool)
+    alive[deleted] = False
+    boundary = int(np.count_nonzero(alive & (in_a[g.eu] != in_a[g.ev])))
     report = {
         "command": "prune",
         "parameters": {"phi": args.phi, "k": len(deleted)},
@@ -308,6 +303,8 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        if getattr(args, "r", 1) < 1:  # even where no game would run
+            raise InvalidParam("r must be at least 1")
         if args.command == "decompose":
             return _cmd_decompose(args)
         if args.command == "balcut":

@@ -14,16 +14,17 @@ sparse cuts of the growing witness, a matcher answers with embedded perfect
 matchings (padding shortfalls with fake edges) until the cut player
 certifies or the matcher surfaces a cut of the host.
 
-Hidden constants from the analysis are module constants (``C_CMG``,
-``C_BASE``, ``ELL_ATTEMPTS``) or ``CutPlayerParams`` fields; thresholds below
-one at desk scale are relaxed to max(1, .) and recorded in run reports
-rather than silently assumed.
+The cut player's one free parameter is the recursion depth r, passed to
+``cut_or_certify``.  Hidden constants from the analysis are module
+constants (``C_CMG``, ``C_BASE``, ``ELL_ATTEMPTS``, ``N0``,
+``MACHINERY_FLOOR``); thresholds below one at desk scale are relaxed to
+max(1, .) and recorded in run reports rather than silently assumed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -35,6 +36,7 @@ from .errors import (
     DiagnosticTooLarge,
     InternalInvariantBroken,
     InvalidInput,
+    InvalidParam,
     RoundCapExceeded,
 )
 from .expanders import (
@@ -61,32 +63,18 @@ from .spectral import certified_floor, cheeger_floor
 C_CMG = 10         # round-cap multiplier of the game
 C_BASE = 4         # z-budget constant of the base case
 ELL_ATTEMPTS = 3   # adaptive path-length ladder retries
+N0 = 16            # size floor for one recursion level
+#: The vertex count from which the expander-embedding machinery engages.
+#: Below it the cut budget max(1, n//100) is so small that the only
+#: admissible cuts are component or bridge cuts, which the exact layer
+#: finds directly, and certifying the measured floor is the only other
+#: contract-valid outcome.
+MACHINERY_FLOOR = 2048
 
 
 def _small_side(side, n):
     """The side of a cut of range(n) holding at most half the vertices."""
     return side if 2 * len(side) <= n else frozenset(range(n)) - side
-
-
-@dataclass(frozen=True)
-class CutPlayerParams:
-    """Tunable constants of the recursive cut player (open in the analysis).
-
-    ``machinery_floor`` is the vertex count from which the expander-embedding
-    machinery engages; below it the cut budget max(1, n//100) is so small
-    that the only admissible cuts are component or bridge cuts, which the
-    exact layer finds directly, and certifying the measured floor is the
-    only other contract-valid outcome.
-    """
-
-    r: int = 1
-    n0: int = 16             # size floor for one recursion level
-    machinery_floor: int = 2048
-    strict: bool = False     # promote reported bounds to hard assertions
-
-    def __post_init__(self):
-        if self.r < 1 or self.n0 < 4:
-            raise InvalidInput("bad cut player parameters")
 
 
 @dataclass(frozen=True)
@@ -149,8 +137,6 @@ def extract_expander(
     g: MultiGraph,
     w: Witness,
     psi: Fraction,
-    *,
-    strict: bool = False,
 ) -> tuple[frozenset[int], frozenset[int], Fraction]:
     """Turn an embedded expander witness into a large expanding subgraph.
 
@@ -165,12 +151,6 @@ def extract_expander(
     cong = w.congestion()
     aug = with_edges(g, fake)
     delta_aug = max(aug.max_degree(), 1)
-    if fake:
-        strict_budget = Fraction(psi) * g.n / (32 * delta_aug * cong)
-        if strict and len(fake) > strict_budget:
-            raise BudgetExceeded(
-                f"|F|={len(fake)} above the sizing budget {float(strict_budget):.3f}"
-            )
     phi_hat = Fraction(psi) / cong / delta_aug
     if phi_hat <= 0:
         raise InvalidInput("witness sparsity floor must be positive")
@@ -202,10 +182,13 @@ def _prune_for_extract(aug, phi_hat, fake_ids):
 # ---------------------------------------------------------------------------
 
 
-def cut_or_certify(
-    g: MultiGraph, params: CutPlayerParams
-) -> BalancedCutMove | CertifiedSubset:
-    """Balanced sparse cut or certified expanding subset (see module docs)."""
+def cut_or_certify(g: MultiGraph, r: int) -> BalancedCutMove | CertifiedSubset:
+    """Balanced sparse cut or certified expanding subset (see module docs).
+
+    ``r`` >= 1 caps the recursion depth of the cut player.
+    """
+    if r < 1:
+        raise InvalidParam("r must be at least 1")
     n = g.n
     if n == 0:
         raise InvalidInput("empty graph")
@@ -237,7 +220,7 @@ def cut_or_certify(
                 acc.update(idx[v] for v in took)
             current = sorted(set(range(n)) - acc)
             continue
-        step = _expander_step(cur_g, params, budget - edges_cut,
+        step = _expander_step(cur_g, r, budget - edges_cut,
                               quarter - len(acc))
         if isinstance(step, CertifiedSubset):
             side = frozenset(idx[v] for v in step.side)
@@ -290,7 +273,7 @@ def _peel_components(comps, acc_size, quarter, n):
     return took
 
 
-def _expander_step(cur_g, params, budget_left, still_needed):
+def _expander_step(cur_g, r, budget_left, still_needed):
     """One peel step: certified subset of >= 2n'/3 vertices, a sparse cut
     (local side, crossing count), or None when the machinery is stuck."""
     n = cur_g.n
@@ -313,14 +296,14 @@ def _expander_step(cur_g, params, budget_left, still_needed):
                 bridges, key=lambda t: (min(t[2], n - t[2]), -t[0])
             )
             return (_small_side(subtree_side(cur_g, eid, child), n), 1)
-    if budget_left < 2 or n < params.machinery_floor:
+    if budget_left < 2 or n < MACHINERY_FLOOR:
         return None  # certify via the caller's measured fallback
     q_eff = 1
-    while q_eff < params.r and n >= params.n0 ** (q_eff + 1):
+    while q_eff < r and n >= N0 ** (q_eff + 1):
         q_eff += 1
     if q_eff == 1:
-        return _base_step(cur_g, params, budget_left)
-    return _rec_step(cur_g, params, q_eff, budget_left)
+        return _base_step(cur_g, budget_left)
+    return _rec_step(cur_g, q_eff, budget_left)
 
 
 def _tiny_step(cur_g, budget_left):
@@ -340,7 +323,7 @@ def _ell_ladder(n):
         yield min(max(base << attempt, 4), 4 * n)
 
 
-def _base_step(cur_g, params, budget_left):
+def _base_step(cur_g, budget_left):
     """Embed an explicit expander through the matching player, then extract."""
     n = cur_g.n
     z = max(1, -(-n // (C_BASE * log2ceil(n) ** 5)))
@@ -360,7 +343,7 @@ def _base_step(cur_g, params, budget_left):
             per_family, path_of = outcome
             witness.add_round([p for pairs in per_family for p in pairs], path_of)
         else:
-            got = _try_extract(cur_g, witness, psi_star, params)
+            got = _try_extract(cur_g, witness, psi_star)
             if got is not None:
                 return got
             if len(witness.fake_edges) <= len(matchings) * z:
@@ -370,12 +353,10 @@ def _base_step(cur_g, params, budget_left):
     return None
 
 
-def _try_extract(cur_g, witness, psi_witness, params):
+def _try_extract(cur_g, witness, psi_witness):
     n = cur_g.n
     try:
-        a_side, _, psi_cert = extract_expander(
-            cur_g, witness, psi_witness, strict=params.strict
-        )
+        a_side, _, psi_cert = extract_expander(cur_g, witness, psi_witness)
     except (BudgetExceeded, InternalInvariantBroken):
         return None
     if 3 * len(a_side) >= 2 * n and psi_cert > 0:
@@ -383,23 +364,20 @@ def _try_extract(cur_g, witness, psi_witness, params):
     return None
 
 
-def _rec_step(cur_g, params, q, budget_left):
+def _rec_step(cur_g, q, budget_left):
     """Parallel block games, core embedding, composition, extraction."""
     n = cur_g.n
-    big_n = params.n0
+    big_n = N0
     while big_n ** q < n:
         big_n *= 2
     if n <= big_n ** (q - 1):
-        return _expander_step(cur_g, replace(params, r=q - 1), budget_left, n)
+        return _expander_step(cur_g, q - 1, budget_left, n)
     nb = max((big_n ** (q - 1)) // 2, 2)
     blocks = [list(range(i * nb, (i + 1) * nb)) for i in range(n // nb)]
     extra = list(range(len(blocks) * nb, n))
-    sub_params = replace(params, r=q - 1)
     z = 1  # minimal fake budget: maximal cut sensitivity at desk scale
     for ell in _ell_ladder(n):
-        result = _rec_attempt(
-            cur_g, params, sub_params, blocks, extra, z, ell, budget_left
-        )
+        result = _rec_attempt(cur_g, q - 1, blocks, extra, z, ell, budget_left)
         if result is not None:
             return result
     return None
@@ -409,7 +387,7 @@ class _AttemptOver(Exception):
     """Ends a recursive attempt early; ``args[0]`` is its result."""
 
 
-def _rec_attempt(cur_g, params, sub_params, blocks, extra, z, ell, budget_left):
+def _rec_attempt(cur_g, sub_r, blocks, extra, z, ell, budget_left):
     n = cur_g.n
     nb = len(blocks[0])
     witness = Witness(cur_g, n)
@@ -441,7 +419,7 @@ def _rec_attempt(cur_g, params, sub_params, blocks, extra, z, ell, budget_left):
             fam_pairs = []
             fam_owner = []
             for bi in active:
-                sub = cut_or_certify(local_graph(bi), sub_params)
+                sub = cut_or_certify(local_graph(bi), sub_r)
                 base = blocks[bi][0]
                 if isinstance(sub, CertifiedSubset):
                     certified[bi] = (
@@ -506,7 +484,7 @@ def _rec_attempt(cur_g, params, sub_params, blocks, extra, z, ell, budget_left):
     if extra:
         psi_comp /= 2
     psi_comp = min(psi_comp, Fraction(1))
-    return _try_extract(cur_g, witness, psi_comp, params)
+    return _try_extract(cur_g, witness, psi_comp)
 
 
 def _routed_matchings(cur_g, fam_pairs, z, ell, budget_left):

@@ -19,7 +19,6 @@ import numpy as np
 
 from .cutmatch import (
     C_CMG,
-    CutPlayerParams,
     GameResult,
     Witness,
     cmg_drive,
@@ -52,15 +51,6 @@ from .spectral import certified_floor, cheeger_floor
 C_HAT = 4  # the "large constant" of the high-sparsity driver
 
 
-def _player_params(r: int, params: CutPlayerParams | None) -> CutPlayerParams:
-    """The cut player's parameters, which must agree with the driver's r."""
-    if params is None:
-        return CutPlayerParams(r=r)
-    if params.r != r:
-        raise InvalidParam(f"r={r} disagrees with the cut player's r={params.r}")
-    return params
-
-
 # ---------------------------------------------------------------------------
 # The cut-matching game instantiated with the push-relabel matcher
 # ---------------------------------------------------------------------------
@@ -78,11 +68,7 @@ class WitnessResult:
 
 
 def iterations_final_cut(
-    g: MultiGraph,
-    psi: Fraction,
-    z: int,
-    r: int,
-    params: CutPlayerParams | None = None,
+    g: MultiGraph, psi: Fraction, z: int, r: int
 ) -> Cut | WitnessResult:
     """Run the game with the recursive cut player and the 1-pair matcher.
 
@@ -92,14 +78,13 @@ def iterations_final_cut(
     """
     if g.n < 2:
         raise InvalidInput("the game needs at least two host vertices")
-    params = _player_params(r, params)
     psi = Fraction(psi)
     n = g.n
     n_eff = n + (n % 2)
     host_m = max(g.m, 1)
 
     def cut_player(h: MultiGraph):
-        return cut_or_certify(h, params)
+        return cut_or_certify(h, r)
 
     def matcher(a_half: list[int], b_half: list[int], rnd: int, final: bool):
         a_real = [v for v in a_half if v < n]
@@ -186,12 +171,7 @@ def _balanced_from_components(
     return None
 
 
-def bal_cut_prune(
-    g: MultiGraph,
-    phi,
-    r: int,
-    params: CutPlayerParams | None = None,
-) -> BalCutPruneResult:
+def bal_cut_prune(g: MultiGraph, phi, r: int) -> BalCutPruneResult:
     """Balanced sparse cut or a pruned high-conductance core.
 
     Returns (A, B) with |E(A, B)| <= alpha * phi * Vol(G) (alpha measured
@@ -208,7 +188,6 @@ def bal_cut_prune(
     g.reject_self_loops("bal_cut_prune")
     if g.m < 1:
         raise InvalidInput("bal_cut_prune needs at least one edge")
-    params = _player_params(r, params)
     vol = g.volume()
     report: dict = {"phi": str(phi), "r": r, "notes": []}
 
@@ -222,7 +201,7 @@ def bal_cut_prune(
         # over 2/3 of the volume.  Process it; the crumbs join side B.
         giant = max(comps, key=lambda c: (g.volume(c), c[0]))
         sub, idx = induced_subgraph(g, giant)
-        inner = bal_cut_prune(sub, phi, r, params)
+        inner = bal_cut_prune(sub, phi, r)
         a = frozenset(idx[v] for v in inner.a_side)
         b = frozenset(range(g.n)) - a
         cut_edges = cut_edge_count(g, a)
@@ -230,8 +209,7 @@ def bal_cut_prune(
         report["notes"] = list(report.get("notes", [])) + [
             "disconnected input: processed the giant component"
         ]
-        return _finish(g, a, b, phi, inner.certified_phi, report,
-                       strict=params.strict)
+        return _finish(g, a, b, phi, inner.certified_phi, report)
 
     # Fast path: the whole graph already certifies at phi.
     cert = certified_floor(g, "conductance")
@@ -272,7 +250,7 @@ def bal_cut_prune(
                 smallest = [v for v in range(sub.n) if v not in set(smallest)]
             acc.update(idx[v] for v in smallest)
             continue
-        outcome = iterations_final_cut(sub, psi, z, r, params)
+        outcome = iterations_final_cut(sub, psi, z, r)
         if isinstance(outcome, Cut):
             x_glob = {idx[v] for v in outcome.side}
             y_glob = set(members) - x_glob
@@ -287,9 +265,7 @@ def bal_cut_prune(
             continue
         # witness branch: contract back, prune the fake edges
         rounds_total += outcome.rounds
-        result = _witness_case(
-            g, red, members, outcome, acc, phi, report, params
-        )
+        result = _witness_case(g, red, members, outcome, phi, report)
         if result is not None:
             mode, payload = result
             if mode == "done":
@@ -308,7 +284,7 @@ def bal_cut_prune(
     orig_a, orig_b = project_cut(red, a_can, frozenset(acc))
     report["rounds"] = rounds_total
     report["corrections"] = corrections
-    return _finish(g, orig_a, orig_b, phi, None, report, strict=params.strict)
+    return _finish(g, orig_a, orig_b, phi, None, report)
 
 
 def _oracle_drive(g: MultiGraph, phi: Fraction, report: dict) -> BalCutPruneResult:
@@ -338,9 +314,12 @@ def _oracle_drive(g: MultiGraph, phi: Fraction, report: dict) -> BalCutPruneResu
     return _finish(g, a, frozenset(acc), phi, None, report)
 
 
-def _witness_case(g, red, members, wr: WitnessResult, acc, phi, report, params):
+def _witness_case(g, red, members, wr: WitnessResult, phi, report):
     """Case 2 of the driver: contract clusters, prune fakes, verify."""
-    u_orig = sorted({red.cluster_of(h) for h in members})
+    # Hat vertex h lies in the cluster of the original vertex whose incidence
+    # CSR range indptr[v]:indptr[v + 1] holds it.
+    cluster = (np.searchsorted(g.indptr, members, side="right") - 1).tolist()
+    u_orig = sorted(set(cluster))
     sub_g, idx_g = induced_subgraph(g, u_orig)
     back = {v: i for i, v in enumerate(idx_g)}
     # Witness vertices are local ids of the canonical subgraph; map through
@@ -350,8 +329,7 @@ def _witness_case(g, red, members, wr: WitnessResult, acc, phi, report, params):
     for hu, hv in wr.witness.fake_edges:
         if hu >= len(members) or hv >= len(members):
             continue  # dummy-padding edge of an odd host
-        cu = red.cluster_of(members[hu])
-        cv = red.cluster_of(members[hv])
+        cu, cv = cluster[hu], cluster[hv]
         if cu != cv:
             fake_pairs.append((back[cu], back[cv]))
     contracted = with_edges(sub_g, fake_pairs)
@@ -390,11 +368,10 @@ def _witness_case(g, red, members, wr: WitnessResult, acc, phi, report, params):
     rep["witness_psi"] = str(wr.psi_witness)
     rep["witness_congestion"] = wr.congestion
     rep["witness_fakes"] = wr.fake_count
-    return ("done", _finish(g, a_orig, b_orig, phi, cert, rep,
-                            strict=params.strict))
+    return ("done", _finish(g, a_orig, b_orig, phi, cert, rep))
 
 
-def _finish(g, a_side, b_side, phi, cert, report, *, strict=False):
+def _finish(g, a_side, b_side, phi, cert, report):
     """Assemble and recount a BalCutPruneResult."""
     vol = g.volume()
     vol_a = g.volume(a_side)
@@ -408,10 +385,9 @@ def _finish(g, a_side, b_side, phi, cert, report, *, strict=False):
     else:
         branch = "pruned"
         if 12 * vol_a < 7 * vol:
-            msg = f"pruned branch volume {vol_a} below 7/12 of {vol}"
-            if strict:
-                raise InternalInvariantBroken(msg)
-            report.setdefault("notes", []).append(msg)
+            report.setdefault("notes", []).append(
+                f"pruned branch volume {vol_a} below 7/12 of {vol}"
+            )
         if cert is None:
             core, _ = induced_subgraph(g, a_side)
             cert = certified_floor(core, "conductance")
@@ -446,12 +422,7 @@ class DecompositionResult:
     report: dict
 
 
-def expander_decomposition(
-    g: MultiGraph,
-    eps,
-    r: int = 1,
-    params: CutPlayerParams | None = None,
-) -> DecompositionResult:
+def expander_decomposition(g: MultiGraph, eps, r: int = 1) -> DecompositionResult:
     """Partition V into conductance-certified clusters.
 
     Inter-cluster edges number at most eps * Vol(G) (recounted exactly);
@@ -483,7 +454,7 @@ def expander_decomposition(
                 final.append([v])
                 certs.append(Fraction(1))
             continue
-        res = bal_cut_prune(sub, phi_target, r, params)
+        res = bal_cut_prune(sub, phi_target, r)
         if res.branch == "pruned" and not res.b_side:
             final.append(cluster)
             certs.append(res.certified_phi)
@@ -552,11 +523,7 @@ class NoBalancedSparseCutCertificate:
 
 
 def sparse_cut_or_expander(
-    g: MultiGraph,
-    psi,
-    z: int,
-    r: int,
-    params: CutPlayerParams | None = None,
+    g: MultiGraph, psi, z: int, r: int
 ) -> Cut | NoBalancedSparseCutCertificate:
     """A sparse fairly-balanced cut or a quantified no-such-cut certificate."""
     psi = Fraction(psi)
@@ -564,7 +531,7 @@ def sparse_cut_or_expander(
         raise InvalidInput("need at least two vertices")
     delta = max(g.max_degree(), 1)
     z_flow = max(4 * z, z * delta, 1)
-    outcome = iterations_final_cut(g, psi / 2, z_flow, r, params)
+    outcome = iterations_final_cut(g, psi / 2, z_flow, r)
     if isinstance(outcome, Cut):
         if min(outcome.size, g.n - outcome.size) < z:
             raise InternalInvariantBroken("matcher cut smaller than z")
@@ -688,9 +655,7 @@ def _candidate_cuts(g: MultiGraph, objective: str) -> list[Cut]:
     return cands
 
 
-def sparsest_cut(
-    g: MultiGraph, r: int = 1, params: CutPlayerParams | None = None
-) -> ApproxCutResult:
+def sparsest_cut(g: MultiGraph, r: int = 1) -> ApproxCutResult:
     """Geometric search over sparse_cut_or_expander plus a certified floor."""
     if g.n < 2:
         raise InvalidInput("need at least two vertices")
@@ -704,7 +669,7 @@ def sparsest_cut(
     game_floor = Fraction(0)
     cert_detail = None
     for psi in _sparsity_grid(g):
-        res = sparse_cut_or_expander(g, psi, 1, r, params)
+        res = sparse_cut_or_expander(g, psi, 1, r)
         if isinstance(res, Cut):
             if best is None or res.sparsity < best.sparsity:
                 best = res
@@ -740,9 +705,7 @@ def sparsest_cut(
     return ApproxCutResult(best, value, floor, factor, report)
 
 
-def lowest_conductance_cut(
-    g: MultiGraph, r: int = 1, params: CutPlayerParams | None = None
-) -> ApproxCutResult:
+def lowest_conductance_cut(g: MultiGraph, r: int = 1) -> ApproxCutResult:
     """Sparsest cut of the degree-reduced graph, canonicalized and projected."""
     if g.m < 1:
         raise InvalidInput("need at least one edge")
@@ -753,7 +716,7 @@ def lowest_conductance_cut(
         return ApproxCutResult(cut, cut.conductance, Fraction(0), 1.0,
                                {"note": "disconnected: component cut"})
     red = reduce_degree(g)
-    hat_res = sparsest_cut(red.hat_g, r, params)
+    hat_res = sparsest_cut(red.hat_g, r)
     hat_cut = hat_res.cut
     a_hat = set(hat_cut.side)
     b_hat = set(range(red.hat_g.n)) - a_hat

@@ -52,7 +52,7 @@ class BudgetExceeded(BalcutError):
 class RoundCapExceeded(BalcutError):
     """The cut-matching game exceeded its round cap.
 
-    Carries the recorded potential trace for diagnosis.
+    ``trace`` holds the size of each round's matching, for diagnosis.
     """
 
     def __init__(self, message, trace=None):

@@ -43,16 +43,6 @@ class ReducedGraph:
     type2_map: tuple[int, ...]
     original_n: int
 
-    def cluster_of(self, hat_vertex: int) -> int:
-        lo, hi = 0, len(self.clusters) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.clusters[mid].stop <= hat_vertex:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
 
 def reduce_degree(g: MultiGraph) -> ReducedGraph:
     """Build the reduced graph; linear in the number of edges.

@@ -167,6 +167,27 @@ def test_cli_prune(tmp_path, capsys):
     assert timed == report
 
 
+def test_cli_prune_boundary_skips_deleted_crossing_edges(tmp_path, capsys):
+    # K10 plus the triangle {10, 11, 12}, hung on by (0, 10) and (1, 11):
+    # Phi = 1/4.  Deleting (10, 11) and (0, 10) prunes the triangle.  By
+    # hand, the only live edge leaving B = {10, 11, 12} is (1, 11); the
+    # deleted (0, 10) crosses too and must not count.
+    from balcut.generators import complete_graph
+
+    edges = list(complete_graph(10).edges)
+    edges += [(10, 11), (11, 12), (10, 12), (0, 10), (1, 11)]
+    gfile = tmp_path / "g.txt"
+    with open(gfile, "w") as fh:
+        write_graph(MultiGraph(13, edges), fh)
+    dels = tmp_path / "del.txt"
+    dels.write_text("10 11\n0 10\n")
+    assert dispatch(["prune", "--phi", "1/4", "--deleted", str(dels), str(gfile)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pruned_vertices"] == 3
+    assert report["boundary_edges"] == 1
+    assert report["pruned_volume"] == 3 + 3 + 2
+
+
 def test_cli_prune_id_then_pair_deletes_both_copies(tmp_path, capsys):
     from balcut.generators import complete_graph
 
@@ -203,6 +224,33 @@ def test_cli_exit_codes(tmp_path, capsys):
         dels.write_text(f"1\n{line}\n")
         assert dispatch(["prune", "--phi", "1/2", "--deleted", str(dels), str(k4)]) == 2
         assert capsys.readouterr().err == "error: line 2: non-integer field\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["decompose", "--eps", "1/2"],
+    ["balcut", "--phi", "1/4"],
+    ["sparsest"],
+    ["lowcond"],
+    ["certify"],
+])
+@pytest.mark.parametrize("graph", ["connected", "disconnected"])
+def test_cli_rejects_r_below_one(command, graph, tmp_path, capsys):
+    # Rejected up front, also where no cut-matching game would run.
+    g = barbell_graph(4, 1) if graph == "connected" else MultiGraph(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    )
+    gfile = tmp_path / "g.txt"
+    with open(gfile, "w") as fh:
+        write_graph(g, fh)
+    assert dispatch(command + ["--r", "0", str(gfile)]) == 2
+    assert capsys.readouterr().err == "error: r must be at least 1\n"
+
+
+def test_cli_has_no_strict_flag(graph_file, capsys):
+    assert dispatch(["--strict", "balcut", "--phi", "1/4", graph_file]) == 1
+    capsys.readouterr()
+    assert dispatch(["balcut", "--phi", "1/4", graph_file]) == 0
+    assert "strict" not in json.loads(capsys.readouterr().out)["parameters"]
 
 
 def test_cli_certify_diagnostics(graph_file, capsys):

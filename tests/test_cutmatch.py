@@ -8,7 +8,6 @@ from balcut import cutmatch
 from balcut.cutmatch import (
     BalancedCutMove,
     CertifiedSubset,
-    CutPlayerParams,
     GameResult,
     Witness,
     cmg_drive,
@@ -16,7 +15,12 @@ from balcut.cutmatch import (
     extract_expander,
     walk_potential,
 )
-from balcut.errors import DiagnosticTooLarge, InvalidInput, RoundCapExceeded
+from balcut.errors import (
+    DiagnosticTooLarge,
+    InvalidInput,
+    InvalidParam,
+    RoundCapExceeded,
+)
 from balcut.expanders import construct_expander
 from balcut.generators import random_regularish_graph
 from balcut.graph import MultiGraph, cut_edge_count, graph_sparsity
@@ -54,15 +58,20 @@ def check_move(g, res):
 
 
 def test_trivial_graphs():
-    assert isinstance(cut_or_certify(MultiGraph(1, []), CutPlayerParams()), CertifiedSubset)
-    res = cut_or_certify(MultiGraph(2, [(0, 1)]), CutPlayerParams())
+    assert isinstance(cut_or_certify(MultiGraph(1, []), 1), CertifiedSubset)
+    res = cut_or_certify(MultiGraph(2, [(0, 1)]), 1)
     assert isinstance(res, CertifiedSubset)
+
+
+def test_cut_or_certify_rejects_r_below_one():
+    with pytest.raises(InvalidParam):
+        cut_or_certify(construct_expander(24), 0)
 
 
 def test_expander_hosts_certify():
     for n in (24, 40, 64):
         g = construct_expander(n)
-        res = cut_or_certify(g, CutPlayerParams(r=1))
+        res = cut_or_certify(g, 1)
         assert isinstance(res, CertifiedSubset)
         check_move(g, res)
 
@@ -75,7 +84,7 @@ def test_bridged_blocks_get_balanced_cut():
             edges.append((16 + i, 16 + j))
     edges.append((0, 16))
     g = MultiGraph(32, edges)
-    res = cut_or_certify(g, CutPlayerParams(r=1))
+    res = cut_or_certify(g, 1)
     assert isinstance(res, BalancedCutMove)
     assert res.crossing == 1
     check_move(g, res)
@@ -83,12 +92,12 @@ def test_bridged_blocks_get_balanced_cut():
 
 def test_empty_and_matching_witnesses():
     g = MultiGraph(20, [])
-    res = cut_or_certify(g, CutPlayerParams())
+    res = cut_or_certify(g, 1)
     assert isinstance(res, BalancedCutMove) and res.crossing == 0
     check_move(g, res)
 
     g = MultiGraph(20, [(2 * i, 2 * i + 1) for i in range(10)])
-    res = cut_or_certify(g, CutPlayerParams())
+    res = cut_or_certify(g, 1)
     assert isinstance(res, BalancedCutMove) and res.crossing == 0
     check_move(g, res)
 
@@ -96,11 +105,11 @@ def test_empty_and_matching_witnesses():
 def test_weak_witnesses_resolve_honestly():
     for k in (1, 2, 3, 5, 8):
         g = union_of_matchings(64, k, seed=k)
-        res = cut_or_certify(g, CutPlayerParams(r=1))
+        res = cut_or_certify(g, 1)
         check_move(g, res)
 
 
-def test_machinery_path_forced():
+def test_machinery_path_forced(monkeypatch):
     # Two degree-3 blocks with three parallel bridges at n=400: no single
     # bridge exists, the budget is 4, and the embedding machinery must find
     # the 3-edge balanced cut.
@@ -108,7 +117,8 @@ def test_machinery_path_forced():
     edges = list(block.edges) + [(200 + u, 200 + v) for u, v in block.edges]
     edges += [(0, 200), (1, 201), (2, 202)]
     g = MultiGraph(400, edges)
-    res = cut_or_certify(g, CutPlayerParams(r=1, machinery_floor=300))
+    monkeypatch.setattr(cutmatch, "MACHINERY_FLOOR", 300)
+    res = cut_or_certify(g, 1)
     assert isinstance(res, BalancedCutMove)
     assert res.crossing == 3
     check_move(g, res)
@@ -116,7 +126,7 @@ def test_machinery_path_forced():
 
 def test_recursive_step_runs(monkeypatch):
     # A 10x20 grid is bridgeless with a weak spectral gap, so neither the
-    # Cheeger gate nor a bridge answers; n=200 >= n0^2 = 25 sends r=2 into
+    # Cheeger gate nor a bridge answers; n=200 >= N0^2 = 25 sends r=2 into
     # the q=2 recursion of the cut player.
     edges = []
     for x in range(10):
@@ -135,7 +145,9 @@ def test_recursive_step_runs(monkeypatch):
         return real_attempt(*args, **kwargs)
 
     monkeypatch.setattr(cutmatch, "_rec_attempt", spy)
-    res = cut_or_certify(g, CutPlayerParams(r=2, n0=5, machinery_floor=200))
+    monkeypatch.setattr(cutmatch, "N0", 5)
+    monkeypatch.setattr(cutmatch, "MACHINERY_FLOOR", 200)
+    res = cut_or_certify(g, 2)
     assert calls
     assert isinstance(res, CertifiedSubset)
     assert res.detail == "extracted"
@@ -198,17 +210,15 @@ def perfect_matcher(g):
 
 def test_cmg_drive_n2():
     g = MultiGraph(2, [(0, 1)])
-    params = CutPlayerParams()
-    res = cmg_drive(g, lambda h: cut_or_certify(h, params), perfect_matcher(g), 10)
+    res = cmg_drive(g, lambda h: cut_or_certify(h, 1), perfect_matcher(g), 10)
     assert isinstance(res, GameResult)
     assert res.rounds <= 10
 
 
 def test_cmg_drive_terminates_on_complete_host():
     g = MultiGraph(16, [(i, j) for i in range(16) for j in range(i + 1, 16)])
-    params = CutPlayerParams()
     cap = math.ceil(10 * math.log2(16))
-    res = cmg_drive(g, lambda h: cut_or_certify(h, params), perfect_matcher(g), cap)
+    res = cmg_drive(g, lambda h: cut_or_certify(h, 1), perfect_matcher(g), cap)
     assert isinstance(res, GameResult)
     assert res.rounds <= cap
     assert res.certified.psi > 0
@@ -218,9 +228,8 @@ def test_cmg_drive_round_cap():
     # An empty witness on 8 vertices cannot certify in the very first round,
     # so a cap of 1 must fire (with the round trace attached).
     g = MultiGraph(8, [(i, j) for i in range(8) for j in range(i + 1, 8)])
-    params = CutPlayerParams()
     with pytest.raises(RoundCapExceeded) as exc:
-        cmg_drive(g, lambda h: cut_or_certify(h, params), perfect_matcher(g), 1)
+        cmg_drive(g, lambda h: cut_or_certify(h, 1), perfect_matcher(g), 1)
     assert isinstance(exc.value.trace, list)
 
 

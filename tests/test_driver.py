@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from balcut.cutmatch import CutPlayerParams
 from balcut.driver import (
     ApproxCutResult,
     _best_prefix_cut,
@@ -136,16 +135,6 @@ def test_bal_cut_prune_rejects_bad_params():
         bal_cut_prune(g, Fraction(3, 2), 1)
     with pytest.raises(InvalidInput):
         bal_cut_prune(MultiGraph(3, []), Fraction(1, 2), 1)
-
-
-def test_bal_cut_prune_rejects_mismatched_r():
-    from balcut.errors import InvalidParam
-
-    g = barbell_graph(6, 2)
-    with pytest.raises(InvalidParam):
-        bal_cut_prune(g, Fraction(1, 4), 2, CutPlayerParams())
-    res = bal_cut_prune(g, Fraction(1, 4), 2, CutPlayerParams(r=2))
-    assert res.report == bal_cut_prune(g, Fraction(1, 4), 2).report
 
 
 def test_bal_cut_prune_disconnected():
