@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import CompositionError, DegreeTooHigh, InvalidParam
 from .graph import MultiGraph
 
@@ -25,29 +27,24 @@ TORUS_SPARSITY = {2: Fraction(2), 3: Fraction(2), 4: Fraction(2)}
 
 
 def gabber_galil(k: int) -> MultiGraph:
-    """The 8-neighbor torus graph on Z_k x Z_k, with self-loops dropped."""
+    """The 8-neighbor torus graph on Z_k x Z_k, with self-loops dropped.
+
+    Vertex (x, y) is ``x * k + y``.  Edge ids, and every digest of an output
+    that names them, rely on this order: vertex-major, the eight maps in the
+    module docstring's order, each edge (u, v) kept when u < v (the map is
+    symmetric, so u > v is the same edge seen from v).
+    """
     if k < 2:
         raise InvalidParam(f"torus construction needs k >= 2, got {k}")
-    edges = []
-    for x in range(k):
-        for y in range(k):
-            u = x * k + y
-            for nx, ny in (
-                ((x + 2 * y) % k, y),
-                ((x - 2 * y) % k, y),
-                ((x + 2 * y + 1) % k, y),
-                ((x - 2 * y - 1) % k, y),
-                (x, (y + 2 * x) % k),
-                (x, (y - 2 * x) % k),
-                (x, (y + 2 * x + 1) % k),
-                (x, (y - 2 * x - 1) % k),
-            ):
-                v = nx * k + ny
-                if u < v:
-                    edges.append((u, v))
-                # u == v: self-loop collision, dropped; u > v: counted once
-                # from the other endpoint (the neighbor map is symmetric).
-    return MultiGraph(k * k, edges)
+    u = np.arange(k * k, dtype=np.int64)
+    x, y = np.divmod(u, k)
+    nbrs = np.stack(
+        [(x + s) % k * k + y for s in (2 * y, -2 * y, 2 * y + 1, -2 * y - 1)]
+        + [x * k + (y + s) % k for s in (2 * x, -2 * x, 2 * x + 1, -2 * x - 1)],
+        axis=1,
+    )
+    keep = u[:, None] < nbrs
+    return MultiGraph._from_arrays(k * k, np.repeat(u, keep.sum(axis=1)), nbrs[keep])
 
 
 @lru_cache(maxsize=None)
@@ -61,17 +58,16 @@ def construct_expander(n: int) -> MultiGraph:
     if n < 1:
         raise InvalidParam(f"expander size must be positive, got {n}")
     if n <= 9:
-        return MultiGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return MultiGraph._from_arrays(n, *np.triu_indices(n, 1))
     k = 1
     while k * k < n:
         k += 1
     base = gabber_galil(k - 1)
-    extra = n - (k - 1) ** 2
-    edges = list(base.edges)
-    # Pendants are matched to the first `extra` torus vertices (all distinct;
-    # extra <= 2k - 1 < (k-1)^2 for k >= 4, and n <= 9 covers smaller k).
-    edges.extend((j, base.n + j) for j in range(extra))
-    return MultiGraph(n, edges)
+    # Pendant base.n + j is matched to torus vertex j (all distinct, as
+    # n - (k-1)^2 <= 2k - 1 < (k-1)^2 for k >= 4; n <= 9 covers smaller k).
+    pendants = np.arange(n - base.n, dtype=np.int64)
+    eu = np.concatenate((base.eu, pendants))
+    return MultiGraph._from_arrays(n, eu, np.concatenate((base.ev, pendants + base.n)))
 
 
 @lru_cache(maxsize=None)

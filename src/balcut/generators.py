@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .errors import InvalidParam
 from .graph import MultiGraph, is_connected
 
@@ -79,18 +81,20 @@ def random_regularish_graph(n: int, d: int, seed: int) -> MultiGraph:
 
     Degree is exactly d; parallel edges may occur.  Used for planted
     expander blocks at scale, where a constant-degree expanding block is
-    needed deterministically from a seed.
+    needed deterministically from a seed.  Round r shuffles the vertex list
+    and pairs positions 2i and 2i + 1 into edge ``r * n // 2 + i``.
     """
-    if n % 2:
-        raise InvalidParam("matching-union graph needs even n")
+    if n % 2 or n < 0 or d < 0:
+        raise InvalidParam("matching-union graph needs even n >= 0 and d >= 0")
     rng = random.Random(seed)
-    edges = []
     verts = list(range(n))
-    for _ in range(d):
+    half = n // 2
+    eu, ev = np.empty(d * half, dtype=np.int64), np.empty(d * half, dtype=np.int64)
+    for u_row, v_row in zip(eu.reshape(d, half), ev.reshape(d, half)):
         rng.shuffle(verts)
-        for i in range(0, n, 2):
-            edges.append((verts[i], verts[i + 1]))
-    return MultiGraph(n, edges)
+        u_row[:] = verts[0::2]
+        v_row[:] = verts[1::2]
+    return MultiGraph._from_arrays(n, eu, ev)
 
 
 def planted_expander_union(block_sizes: list[int], degree: int, bridges: list[tuple[int, int]],
@@ -101,22 +105,15 @@ def planted_expander_union(block_sizes: list[int], degree: int, bridges: list[tu
     deterministic pseudo-random endpoints of the two blocks.  Returns the
     graph and the planted block label per vertex.
     """
-    offsets = []
-    total = 0
-    for size in block_sizes:
-        offsets.append(total)
-        total += size
-    edges = []
-    labels = [0] * total
-    for bi, size in enumerate(block_sizes):
-        block = random_regularish_graph(size, degree, seed + 7 * bi)
-        off = offsets[bi]
-        edges.extend((off + u, off + v) for u, v in block.edges)
-        for v in range(size):
-            labels[off + v] = bi
+    offsets = np.cumsum([0, *block_sizes]).tolist()
+    blocks = [random_regularish_graph(size, degree, seed + 7 * bi)
+              for bi, size in enumerate(block_sizes)]
     rng = random.Random(seed + 999)
-    for a, b in bridges:
-        u = offsets[a] + rng.randrange(block_sizes[a])
-        v = offsets[b] + rng.randrange(block_sizes[b])
-        edges.append((u, v))
-    return MultiGraph(total, edges), labels
+    bridge_ends = np.array([
+        (offsets[a] + rng.randrange(block_sizes[a]), offsets[b] + rng.randrange(block_sizes[b]))
+        for a, b in bridges
+    ], dtype=np.int64).reshape(-1, 2)
+    eu = np.concatenate([g.eu + off for g, off in zip(blocks, offsets)] + [bridge_ends[:, 0]])
+    ev = np.concatenate([g.ev + off for g, off in zip(blocks, offsets)] + [bridge_ends[:, 1]])
+    labels = np.repeat(np.arange(len(block_sizes)), block_sizes).tolist()
+    return MultiGraph._from_arrays(offsets[-1], eu, ev), labels

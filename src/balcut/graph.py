@@ -162,35 +162,40 @@ def _edge_arrays(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(edges, (list, tuple)):
         edges = list(edges)
     try:
-        arr = np.array(edges, dtype=np.int64)
+        # No dtype: casting would truncate 0.5 to 0 and parse "1" as 1.
+        arr = np.array(edges)
     except (TypeError, ValueError, OverflowError):
         arr = None
-    if arr is None or (edges and arr.shape != (len(edges), 2)):
-        _reject_edges(n, edges)
+    if arr is None or (edges and (arr.shape != (len(edges), 2)
+                                  or arr.dtype.kind not in "iub")):
+        arr = _checked_pairs(n, edges)
     arr = arr.reshape(-1, 2)
-    eu = np.ascontiguousarray(arr[:, 0])
-    ev = np.ascontiguousarray(arr[:, 1])
+    eu, ev = arr[:, 0], arr[:, 1]
     bad = (eu < 0) | (eu >= n) | (ev < 0) | (ev >= n)
     if bad.any():
         eid = int(bad.argmax())
         raise InvalidInput(
             f"edge {eid} endpoint out of range: ({eu[eid]}, {ev[eid]})"
         )
-    return eu, ev
+    return eu.astype(np.int64), ev.astype(np.int64)
 
 
-def _reject_edges(n: int, edges) -> None:
-    """Raise InvalidInput for the first edge that is not a pair, else for
-    the first edge with an endpoint outside [0, n)."""
+def _checked_pairs(n: int, edges) -> np.ndarray:
+    """The edge list as an int64 array when numpy could not type it as one
+    (numpy integers of mixed signedness); else raise InvalidInput for the
+    first edge that is not a pair, then for the first edge with an endpoint
+    that is not an integer or lies outside [0, n)."""
     for eid, e in enumerate(edges):
         try:
             u, v = e
         except (TypeError, ValueError):
             raise InvalidInput(f"edge {eid} is not a (u, v) pair: {e!r}") from None
     for eid, (u, v) in enumerate(edges):
-        if not (0 <= int(u) < n and 0 <= int(v) < n):
+        if not (isinstance(u, (int, np.integer)) and isinstance(v, (int, np.integer))):
+            raise InvalidInput("edge endpoints must be integers")
+        if not (0 <= u < n and 0 <= v < n):
             raise InvalidInput(f"edge {eid} endpoint out of range: ({u}, {v})")
-    raise InvalidInput("edge endpoints must be integers")
+    return np.array([(int(u), int(v)) for u, v in edges], dtype=np.int64)
 
 
 def _index_array(s: Iterable[int]) -> np.ndarray:

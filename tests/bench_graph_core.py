@@ -5,11 +5,14 @@ Not collected by the default ``test_*.py`` pattern; run them with
     python -m pytest tests/bench_graph_core.py --benchmark-only
 
 The graph is ``random_regularish_graph(20000, 16, seed=1)`` (m = 160 000),
-the input of the ``prune_batches`` benchmark workload.
+the input of the ``prune_batches`` benchmark workload; the two generator
+benchmarks build that graph and ``construct_expander(40000)``, the base of
+the ``certify_expander`` workload.
 """
 
 import pytest
 
+from balcut.expanders import construct_expander
 from balcut.generators import random_regularish_graph
 from balcut.graph import MultiGraph, connected_components, induced_subgraph
 from balcut.reduce import reduce_degree
@@ -40,3 +43,17 @@ def test_connected_components(benchmark, graph):
 def test_reduce_degree(benchmark, graph):
     red = benchmark(reduce_degree, graph)
     assert red.hat_g.n == 2 * graph.m
+
+
+def test_construct_expander(benchmark):
+    def build():
+        construct_expander.cache_clear()
+        return construct_expander(40000)
+
+    h = benchmark(build)
+    assert h.n == 40000 and h.max_degree() <= 9
+
+
+def test_random_regularish_graph(benchmark):
+    g = benchmark(random_regularish_graph, 20000, 16, 1)
+    assert g.m == 160000

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from balcut.expanders import (
     gabber_galil,
     partition_into_matchings,
 )
-from balcut.generators import complete_graph
+from balcut.generators import complete_graph, planted_expander_union, random_regularish_graph
 from balcut.graph import MultiGraph, brute_force_extremum, graph_sparsity, is_connected
 from balcut.spectral import lambda2_normalized
 
@@ -148,3 +149,138 @@ def test_check_composition_rejects_what_compose_rejects():
         with pytest.raises(CompositionError):
             _check_composition(c, sizes, matchings)
     _check_composition(core, [4, 4], {0: [(i, i) for i in range(4)]})
+
+
+# ---------------------------------------------------------------------------
+# The array builders against the edge-tuple loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_gabber_galil(k):
+    edges = []
+    for x in range(k):
+        for y in range(k):
+            u = x * k + y
+            for nx, ny in (
+                ((x + 2 * y) % k, y),
+                ((x - 2 * y) % k, y),
+                ((x + 2 * y + 1) % k, y),
+                ((x - 2 * y - 1) % k, y),
+                (x, (y + 2 * x) % k),
+                (x, (y - 2 * x) % k),
+                (x, (y + 2 * x + 1) % k),
+                (x, (y - 2 * x - 1) % k),
+            ):
+                v = nx * k + ny
+                if u < v:
+                    edges.append((u, v))
+    return MultiGraph(k * k, edges)
+
+
+def ref_construct_expander(n):
+    if n <= 9:
+        return MultiGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    k = 1
+    while k * k < n:
+        k += 1
+    base = ref_gabber_galil(k - 1)
+    edges = list(base.edges)
+    edges.extend((j, base.n + j) for j in range(n - (k - 1) ** 2))
+    return MultiGraph(n, edges)
+
+
+def ref_random_regularish_graph(n, d, seed):
+    rng = random.Random(seed)
+    edges = []
+    verts = list(range(n))
+    for _ in range(d):
+        rng.shuffle(verts)
+        for i in range(0, n, 2):
+            edges.append((verts[i], verts[i + 1]))
+    return MultiGraph(n, edges)
+
+
+def ref_planted_expander_union(block_sizes, degree, bridges, seed):
+    offsets = []
+    total = 0
+    for size in block_sizes:
+        offsets.append(total)
+        total += size
+    edges = []
+    labels = [0] * total
+    for bi, size in enumerate(block_sizes):
+        block = ref_random_regularish_graph(size, degree, seed + 7 * bi)
+        off = offsets[bi]
+        edges.extend((off + u, off + v) for u, v in block.edges)
+        for v in range(size):
+            labels[off + v] = bi
+    rng = random.Random(seed + 999)
+    for a, b in bridges:
+        u = offsets[a] + rng.randrange(block_sizes[a])
+        v = offsets[b] + rng.randrange(block_sizes[b])
+        edges.append((u, v))
+    return MultiGraph(total, edges), labels
+
+
+def assert_same_graph(g, ref):
+    assert g.n == ref.n
+    assert g.eu.dtype == g.ev.dtype == np.int64
+    assert np.array_equal(g.eu, ref.eu) and np.array_equal(g.ev, ref.ev)
+
+
+def test_gabber_galil_matches_the_loop():
+    for k in list(range(2, 61)) + [199]:
+        assert_same_graph(gabber_galil(k), ref_gabber_galil(k))
+
+
+def test_construct_expander_matches_the_loop():
+    for n in list(range(1, 601)) + [2048, 40000]:
+        assert_same_graph(construct_expander(n), ref_construct_expander(n))
+
+
+def test_random_regularish_graph_matches_the_loop():
+    for n, d, seed in [(2, 1, 0), (2, 3, 5), (10, 0, 1), (0, 4, 2), (40, 6, 3),
+                       (1000, 8, 11), (20000, 16, 1)]:
+        assert_same_graph(
+            random_regularish_graph(n, d, seed), ref_random_regularish_graph(n, d, seed)
+        )
+    for n, d in [(3, 2), (-2, 2), (4, -1)]:
+        with pytest.raises(InvalidParam):
+            random_regularish_graph(n, d, 0)
+
+
+def test_planted_expander_union_matches_the_loop():
+    cases = [
+        ([20, 20], 6, [(0, 1)], 3),
+        ([1000] * 4, 8, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 1),
+        ([200, 200], 8, [(0, 1)], 11),
+        ([6, 10, 4], 3, [(2, 0), (1, 1), (0, 2), (0, 2)], 7),
+        ([8], 2, [], 0),
+    ]
+    for args in cases:
+        g, labels = planted_expander_union(*args)
+        ref, ref_labels = ref_planted_expander_union(*args)
+        assert_same_graph(g, ref)
+        assert type(labels) is list and labels == ref_labels
+        assert all(type(b) is int for b in labels)
+
+
+def test_builders_leave_the_tuple_path_unused(monkeypatch):
+    # The builders write endpoint arrays: neither the validating
+    # constructor nor the lazy ``edges`` tuple view is touched.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("edge tuple path used")
+
+    monkeypatch.setattr(MultiGraph, "__init__", forbidden)
+    monkeypatch.setattr(MultiGraph, "edges", property(forbidden))
+    construct_expander.cache_clear()
+    try:
+        for k in (2, 5, 13):
+            assert gabber_galil(k).n == k * k
+        for n in (1, 2, 9, 10, 17, 100, 2048):
+            assert construct_expander(n).n == n
+        assert random_regularish_graph(100, 4, 2).m == 200
+        g, labels = planted_expander_union([20, 30], 4, [(0, 1), (1, 0)], 5)
+        assert g.m == 102 and len(labels) == 50
+    finally:
+        construct_expander.cache_clear()

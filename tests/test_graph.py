@@ -203,6 +203,17 @@ def test_edge_that_is_not_a_pair_is_rejected():
         MultiGraph(3, [5])
 
 
+def test_non_integral_endpoint_is_rejected():
+    for edge in [(0.5, 1), (1.9, 0), ("1", 0), (1.0, 2)]:
+        with pytest.raises(InvalidInput, match="edge endpoints must be integers"):
+            MultiGraph(3, [(0, 1), edge])
+    with pytest.raises(InvalidInput, match="out of range"):
+        MultiGraph(3, [(2**63, 0)])
+    g = MultiGraph(3, [(True, 2), (np.int32(1), 0), (np.uint64(2), 1), (np.int64(0), 2)])
+    assert g.eu.dtype == np.int64
+    assert g.edges == ((1, 2), (1, 0), (2, 1), (0, 2))
+
+
 def test_out_of_range_edge_keeps_its_message():
     with pytest.raises(InvalidInput, match=r"edge 1 endpoint out of range: \(2, 3\)"):
         MultiGraph(3, [(0, 1), (2, 3), (-1, 0)])
