@@ -26,16 +26,20 @@ with the cap that lifted vertices sit at.
 Footprint: let R = {v : level(v) > 0}.  A push goes from level l to level
 l - 1 >= 0, so every pushing vertex is in R and every edge with nonzero
 flow touches R; every level cut {level >= i} with i >= 1 lies inside R.
-So the level-cut counts and the preflow recount read R's incidence slots,
-and ``cut_stats`` recounts a small returned cut over its side's slots;
-their Python and numpy work is about O(vol(R) log vol(R)).  Past the
-discharges, what a call still pays in O(n + m) is C-level: the solver's
-lists (``[0] * m``, the instance's tuples of sources and sinks, a copy of
-the slot list under a mask), one conversion each of the level and mass
-lists, ``flow.count(0)`` and boolean passes over edge masks.  A trimming
-round that moves mass near a small deleted batch thus costs about its
-footprint in Python, not m.  When Vol(R) exceeds m/2 the preflow recount
-reads every edge instead, which is cheaper there.
+The solver records R as vertices leave level 0, so the level-cut counts,
+the gap rule and the preflow recount read R's slots and the sources, and
+``cut_stats`` recounts a small returned cut over its side's slots; their
+work is about O(vol(R) log vol(R) + |sources|).  What a call pays in
+O(n + m) is set-up: the solver's lists (``[0] * m``, the levels, masses,
+sinks and slot pointers, and a copy of the slot list under a mask), one
+list conversion each of the sources and sinks, and C-level passes:
+``flow.count(0)`` and ``mass.count(0)`` prove that the footprint holds all
+the flow and mass, and the instance copies its arrays.  A solver outlives
+its run: posing the next instance resets its lists over the last run's
+footprint, so the trimming rounds of one ``expander_prune`` call share one
+set-up and each costs about its footprint in Python, not m.  When Vol(R)
+exceeds m/2 the preflow recount reads every edge instead, which is
+cheaper there.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -53,6 +58,8 @@ from .errors import InternalInvariantBroken, InvalidInput
 from .graph import (
     Cut,
     MultiGraph,
+    _distinct,
+    _integer_array,
     cut_stats,
     incident_slots,
     live_degrees,
@@ -60,14 +67,16 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FlowInstance:
     """A unit-flow problem: per-vertex integral sources and sinks.
 
-    ``source`` and ``sink`` may be given as any integer sequences; they are
-    kept as tuples of ints, and as read-only int64 copies in
-    ``source_array`` and ``sink_array`` for the vectorized passes, so a
-    caller's later edits to its own arrays never reach the instance.
+    ``source`` and ``sink`` may be given as any integer sequences: Python
+    ints and bools and numpy integers are accepted, anything else raises
+    ``InvalidInput``.  They are kept as read-only int64 copies in
+    ``source_array`` and ``sink_array``, so a caller's later edits to its
+    own arrays never reach the instance, and read back as tuples of ints
+    from ``source`` and ``sink``, built on first access.
 
     ``check_degree_caps=False`` relaxes the per-vertex bounds
     source(v) <= deg(v) and sink(v) <= deg(v); the expander trimming loop
@@ -84,44 +93,57 @@ class FlowInstance:
     """
 
     g: MultiGraph
-    source: tuple[int, ...]
-    sink: tuple[int, ...]
     phi: Fraction
-    check_degree_caps: bool = True
-    alive: np.ndarray | None = None
-    source_array: np.ndarray = field(init=False, repr=False, compare=False)
-    sink_array: np.ndarray = field(init=False, repr=False, compare=False)
+    check_degree_caps: bool
+    alive: np.ndarray | None
+    source_array: np.ndarray = field(repr=False)
+    sink_array: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        g = self.g
-        alive = self.alive
+    def __init__(self, g: MultiGraph, source: Sequence[int], sink: Sequence[int],
+                 phi: Fraction, check_degree_caps: bool = True,
+                 alive: np.ndarray | None = None):
         if alive is not None and not (
             isinstance(alive, np.ndarray) and alive.dtype == bool
             and alive.shape == (g.m,)
         ):
             raise InvalidInput("alive must be a boolean array with one entry per edge")
-        if alive is not None:
-            object.__setattr__(self, "alive", _frozen_array(alive, bool))
-        if len(self.source) != g.n or len(self.sink) != g.n:
+        if len(source) != g.n or len(sink) != g.n:
             raise InvalidInput("source/sink functions must cover every vertex")
-        if not (0 < self.phi <= 1):
-            raise InvalidInput(f"phi must lie in (0, 1], got {self.phi}")
-        source = _frozen_array(self.source, np.int64)
-        sink = _frozen_array(self.sink, np.int64)
-        for name, arr in (("source", source), ("sink", sink)):
-            object.__setattr__(self, name, tuple(arr.tolist()))
-            object.__setattr__(self, name + "_array", arr)
+        if not (0 < phi <= 1):
+            raise InvalidInput(f"phi must lie in (0, 1], got {phi}")
+        source = _frozen(_integer_array(source, "source and sink values"))
+        sink = _frozen(_integer_array(sink, "source and sink values"))
         if (source < 0).any() or (sink < 0).any():
             raise InvalidInput("source and sink values must be nonnegative")
         if source.sum() > sink.sum():
             raise InvalidInput("total source mass exceeds total sink capacity")
-        if self.check_degree_caps:
+        if check_degree_caps:
             deg = live_degrees(g, alive)
             over = (source > deg) | (sink > deg)
             if over.any():
                 raise InvalidInput(
                     f"vertex {int(over.argmax())}: source/sink exceeds its degree"
                 )
+        init = object.__setattr__
+        init(self, "g", g)
+        init(self, "phi", phi)
+        init(self, "check_degree_caps", check_degree_caps)
+        init(self, "alive", None if alive is None else _frozen(alive.copy()))
+        init(self, "source_array", source)
+        init(self, "sink_array", sink)
+
+    @cached_property
+    def source(self) -> tuple[int, ...]:
+        return tuple(self.source_array.tolist())
+
+    @cached_property
+    def sink(self) -> tuple[int, ...]:
+        return tuple(self.sink_array.tolist())
+
+    @cached_property
+    def _sources(self) -> np.ndarray:
+        """The vertices with nonzero source, ascending."""
+        return np.flatnonzero(self.source_array)
 
     @property
     def congestion_cap(self) -> int:
@@ -153,36 +175,59 @@ class Preflow:
         A push leaves level l >= 1 for level l - 1, so every edge with
         nonzero flow touches R = {v : level(v) > 0}.  When Vol(R) is at
         most m/2, the recount reads only the edges at R's slots, after
-        ``flow.count(0)`` has shown that they hold all the nonzero flow.
+        ``flow.count(0)`` has shown that they hold all the nonzero flow,
+        and the masses at their ends and at the sources, after
+        ``mass.count(0)`` has shown that every other mass is zero.
         Otherwise, or when that fails, or when the recount over R's edges
         finds a violation, every edge is recounted and the first violation
         is reported."""
-        if not self._valid_on_footprint(inst):
-            self._recount_all_edges(inst)
+        self._checked_excess(inst)
 
-    def _valid_on_footprint(self, inst: FlowInstance) -> bool:
-        """True when the recount over R's edges proves the preflow valid.
-        A larger R makes the full recount the cheaper one: gathering flow
-        from a list costs more per edge than converting all of it."""
-        g, flow = inst.g, self.flow
-        raised = np.flatnonzero(_int_array(self.level))
+    def _checked_excess(self, inst: FlowInstance,
+                        raised: Sequence[int] | None = None) -> int:
+        """``validate``, then the total excess.  ``raised`` lists R when
+        the caller knows it; else it is read off the levels."""
+        excess = self._excess_on_footprint(inst, raised)
+        if excess is None:
+            self._recount_all_edges(inst)
+            excess = self.total_excess()
+        return excess
+
+    def _excess_on_footprint(self, inst: FlowInstance, raised) -> int | None:
+        """The total excess when the recount over R's edges proves the
+        preflow valid, else None.  A larger R makes the full recount the
+        cheaper one: gathering flow from a list costs more per edge than
+        converting all of it."""
+        g, flow, mass = inst.g, self.flow, self.mass
+        if raised is None:
+            raised = np.flatnonzero(_int_array(self.level))
+        else:
+            raised = np.array(raised, dtype=np.int64)
         if 2 * int(g.deg[raised].sum()) > len(flow):
-            return False
+            return None
         slot, _ = incident_slots(g, raised)
-        touching = np.zeros(g.m, dtype=bool)
-        touching[g.inc[slot]] = True
-        eids = np.flatnonzero(touching)
-        f = np.array([flow[e] for e in eids.tolist()], dtype=np.int64)
+        eids = _distinct(g.inc[slot])
+        f = np.fromiter(map(flow.__getitem__, eids.tolist()), np.int64, len(eids))
         if np.count_nonzero(f) != len(flow) - flow.count(0):
-            return False  # some nonzero flow lies outside R's edges
+            return None  # some nonzero flow lies outside R's edges
         if f.size and np.abs(f).max() > inst.congestion_cap:
-            return False
+            return None
         if inst.alive is not None and f[~inst.alive[eids]].any():
-            return False
+            return None
+        # Every vertex outside the ends of R's edges and the sources holds
+        # no source and no flow, so its mass must be zero.
+        eu, ev = g.eu[eids], g.ev[eids]
         net = inst.source_array.copy()
-        np.add.at(net, g.ev[eids], f)
-        np.subtract.at(net, g.eu[eids], f)
-        return not (net < 0).any() and net.tolist() == self.mass
+        np.add.at(net, ev, f)
+        np.subtract.at(net, eu, f)
+        support = _distinct(np.concatenate([eu, ev, inst._sources]))
+        net = net[support]
+        held = list(map(mass.__getitem__, support.tolist()))
+        if (net < 0).any() or net.tolist() != held:
+            return None
+        if len(mass) - mass.count(0) != len(held) - held.count(0):
+            return None  # some nonzero mass lies outside them
+        return int(np.maximum(net - inst.sink_array[support], 0).sum())
 
     def _recount_all_edges(self, inst: FlowInstance) -> None:
         g = inst.g
@@ -205,9 +250,8 @@ class Preflow:
             raise InternalInvariantBroken(f"negative mass at vertex {v}")
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    """A read-only copy of ``values`` as an array of ``dtype``."""
-    arr = np.array(values, dtype=dtype)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only."""
     arr.flags.writeable = False
     return arr
 
@@ -217,29 +261,31 @@ def _int_array(values: Sequence[int]) -> np.ndarray:
     return np.fromiter(values, np.int64, len(values))
 
 
-def _best_level_cut(g: MultiGraph, level: Sequence[int], phi: Fraction,
-                    max_level: int, needed_volume: int = 0,
+def _best_level_cut(g: MultiGraph, level: Sequence[int], raised: Sequence[int],
+                    phi: Fraction, max_level: int, needed_volume: int = 0,
                     alive: np.ndarray | None = None):
     """Sparsest level cut {v : level >= i} with Phi < phi, exactly recounted.
 
-    Only thresholds whose smaller side volume reaches ``needed_volume``
-    qualify; only ``alive`` edges count when that mask is given.  Returns
-    (side frozenset, threshold) or None.
+    ``raised`` lists R = {v : level(v) > 0} in any order.  Only thresholds
+    whose smaller side volume reaches ``needed_volume`` qualify; only
+    ``alive`` edges count when that mask is given.  Returns (side
+    frozenset, threshold) or None.
 
     Every side with i >= 1 lies inside R = {v : level(v) > 0}, and every
     edge crossing it has its higher end there, so the counts read R's
     slots alone.  The side changes only at occupied levels, and an equal
     side never wins the strict tie-break, so only the first threshold of
     each run of equal sides is scored: the level after each occupied one.
-    Past one pass over the levels and the live-edge count, the cost is
-    O(vol(R) log vol(R)), whatever ``max_level`` is.
+    Past the live-edge count, the cost is O(vol(R) log vol(R)), whatever
+    ``max_level`` is.
     """
     if max_level < 1:
         return None
     total_vol = g.volume() if alive is None else 2 * int(np.count_nonzero(alive))
-    level = _int_array(level)
-    raised = np.flatnonzero(level > 0)
-    occupied, rank = np.unique(level[raised], return_inverse=True)
+    raised = np.sort(np.array(raised, dtype=np.int64))
+    level = np.fromiter(map(level.__getitem__, raised.tolist()), np.int64,
+                        len(raised))
+    occupied, rank = np.unique(level, return_inverse=True)
     crossing, suffixes = _raised_level_counts(g, raised, rank, len(occupied), alive)
     # Side j is {level >= occupied[j]}, scored at one above the occupied
     # level below it.  With no vertex at level 0, side 0 is V: its volume
@@ -266,7 +312,7 @@ def _best_level_cut(g: MultiGraph, level: Sequence[int], phi: Fraction,
     if best is None:
         return None
     i = best[2]
-    side = frozenset(raised[level[raised] >= i].tolist())
+    side = frozenset(raised[level >= i].tolist())
     return side, i
 
 
@@ -293,40 +339,116 @@ def _raised_level_counts(g: MultiGraph, raised: np.ndarray, rank: np.ndarray,
 
 
 class _PushRelabel:
-    def __init__(self, inst: FlowInstance):
-        g = inst.g
-        self.sink = inst.sink
+    """Lowest-label-first push-relabel on the live edges of a graph.
+
+    ``pose`` takes an instance on that graph and its live edges, and
+    ``run`` runs it.  The lists outlive a run: a later ``pose`` first
+    resets them over the last run's footprint, R's levels, pointers and
+    edges and the masses at those edges' ends and at the sources, so one
+    solver serves a sequence of instances (the trimming rounds of one
+    ``expander_prune`` call) for the cost of their footprints.  ``drop``
+    keeps it in step as edges die.  Given ``sink``, the solver starts
+    with those sinks and every pose reloads only the ones ``drop`` names;
+    else the first pose loads them all.
+    """
+
+    def __init__(self, g: MultiGraph, alive: np.ndarray | None = None,
+                 sink: np.ndarray | None = None):
+        self.g = g
         self.indptr, self.inc, self.nbr = g.slots
-        if inst.alive is not None:
-            # Point every dead slot back at its owner.  The walk treats such
-            # a slot like a self-loop's: relabels skip it and it is never
-            # admissible, so only live edges carry flow.  Scanning it still
-            # counts as work, which paces the early level-cut checks.
-            self.nbr = nbr = self.nbr.copy()
-            dead = np.flatnonzero(~inst.alive[g.inc])
-            owner = np.searchsorted(g.indptr, dead, side="right") - 1
-            for k, v in zip(dead.tolist(), owner.tolist()):
-                nbr[k] = v
         self.eu = g.eu_list
-        self.cap = inst.congestion_cap
-        self.h = inst.height_cap
         self.flow = [0] * g.m
         self.level = [0] * g.n
-        self.mass = list(inst.source)
+        self.mass = None if sink is None else [0] * g.n
+        self.sink = None if sink is None else sink.tolist()
         self.ptr = self.indptr[:-1]  # the next slot each vertex scans
+        self.queued = bytearray(g.n)
+        self.buckets: dict[int, deque[int]] = {}
+        self.raised: list[int] = []  # R, in the order it left level 0
+        self.sources = np.empty(0, dtype=np.int64)  # of the posed instance
+        self.resink: list[np.ndarray] = []
+        if alive is not None:
+            dead = np.flatnonzero(~alive[g.inc])
+            self.drop(dead, np.searchsorted(g.indptr, dead, side="right") - 1)
+
+    def drop(self, slots: np.ndarray, owners: np.ndarray) -> None:
+        """The edges at ``slots`` died: point each slot back at its owner.
+
+        The walk treats such a slot like a self-loop's: relabels skip it
+        and it is never admissible, so only live edges carry flow.
+        Scanning it still counts as work, which paces the early level-cut
+        checks.  The owners' live degrees fell, so the next ``pose``
+        reloads their sinks."""
+        if not slots.size:
+            return
+        if self.nbr is self.g.slots[2]:
+            self.nbr = list(self.nbr)  # the graph's list is shared
+        nbr = self.nbr
+        for k, v in zip(slots.tolist(), owners.tolist()):
+            nbr[k] = v
+        self.resink.append(owners)
+
+    def pose(self, inst: FlowInstance) -> None:
+        """Take ``inst``, an instance on this solver's graph and live
+        edges, for the next run.  A solver made without sinks loads all of
+        them here.  Otherwise the last run is reset over its footprint and
+        only the sources and the sinks ``drop`` named are reloaded, so past
+        one numpy scan of the sources a pose costs O(footprint)."""
+        sources = inst._sources
+        if self.sink is None:
+            self.mass = inst.source_array.tolist()
+            self.sink = inst.sink_array.tolist()
+        else:
+            self._reset()
+            mass, sink = self.mass, self.sink
+            if self.resink:
+                verts = _distinct(np.concatenate(self.resink))
+                for v, cap in zip(verts.tolist(), inst.sink_array[verts].tolist()):
+                    sink[v] = cap
+            for v, units in zip(sources.tolist(), inst.source_array[sources].tolist()):
+                mass[v] = units
+        self.resink = []
+        self.sources = sources
+        self.cap = inst.congestion_cap
+        self.h = inst.height_cap
         self.max_level = 0
         self.work = 0
         # count[l]: vertices at level l < h.  A relabel lands at most one
         # level above the list, or at h, so the list grows by append.
-        self.count = [g.n]
+        self.count = [self.g.n]
         self.gaps = 0
         # Buckets are allocated lazily: the height cap scales with 1/phi and
         # can dwarf the number of levels ever touched.
-        self.buckets: dict[int, deque[int]] = {}
+        self.buckets = {}
         self.level_heap: list[int] = []
-        self.queued = bytearray(g.n)
-        for v in np.flatnonzero(inst.source_array > inst.sink_array).tolist():
+        active = inst.source_array[sources] > inst.sink_array[sources]
+        for v in sources[active].tolist():
             self._enqueue(v, 0)
+
+    def _reset(self) -> None:
+        """Zero the last run's levels, pointers, flows and masses over its
+        footprint.  Only a discharge moves a pointer or pushes, and one at
+        level 0 cannot push, so it relabels: every vertex that moved its
+        pointer or pushed left level 0 and is in R.  So nonzero flow lies
+        on R's edges, and mass is nonzero only at their ends and at the
+        sources."""
+        g, flow, level, mass, ptr, indptr = (
+            self.g, self.flow, self.level, self.mass, self.ptr, self.indptr)
+        slot, _ = incident_slots(g, np.array(self.raised, dtype=np.int64))
+        for e in g.inc[slot].tolist():
+            flow[e] = 0
+        for v in g.nbr[slot].tolist():
+            mass[v] = 0
+        for v in self.raised:
+            level[v] = 0
+            ptr[v] = indptr[v]
+            mass[v] = 0
+        for v in self.sources.tolist():
+            mass[v] = 0
+        for bucket in self.buckets.values():  # left over by an early stop
+            for v in bucket:
+                self.queued[v] = 0
+        self.raised = []
 
     def _enqueue(self, v: int, lvl: int) -> None:
         bucket = self.buckets.get(lvl)
@@ -363,6 +485,8 @@ class _PushRelabel:
                 self.work += end - start + 1
                 self.ptr[v] = start
                 old = level[v]
+                if not old:
+                    self.raised.append(v)
                 lv = min(max(new, old + 1), h)
                 level[v] = lv
                 count = self.count
@@ -400,9 +524,9 @@ class _PushRelabel:
         """Level ``old`` just emptied: lift every vertex above it to h,
         where it is never discharged again (see the module docstring)."""
         h, level = self.h, self.level
-        now = _int_array(level)
-        for v in np.flatnonzero((now > old) & (now < h)).tolist():
-            level[v] = h
+        for v in self.raised:
+            if old < level[v] < h:
+                level[v] = h
         del self.count[old + 1:]
         self.max_level = h
         self.gaps += 1
@@ -437,6 +561,7 @@ def bounded_push_relabel(
     *,
     early_cut_volume: int | None = None,
     check_interval: int | None = None,
+    _solver: _PushRelabel | None = None,
 ) -> tuple[Preflow, int, Cut | None]:
     """Route source mass to sinks or expose a low-conductance level cut.
 
@@ -449,15 +574,20 @@ def bounded_push_relabel(
     ``early_cut_volume`` stops as soon as some level cut has Phi < phi and
     both sides' volumes reach that target; the preflow is then still a
     valid preflow, just not quiescent.
+
+    ``_solver`` is a solver on inst's graph and live edges to run on
+    instead of a new one; the preflow returned then shares its lists,
+    which its next pose resets.
     """
     g = inst.g
-    solver = _PushRelabel(inst)
+    solver = _PushRelabel(g, inst.alive) if _solver is None else _solver
+    solver.pose(inst)
 
     early = None
     if early_cut_volume is not None:
         def early(state: _PushRelabel):
             return _best_level_cut(
-                g, state.level, inst.phi, state.max_level,
+                g, state.level, state.raised, inst.phi, state.max_level,
                 needed_volume=early_cut_volume, alive=inst.alive,
             )
 
@@ -465,10 +595,12 @@ def bounded_push_relabel(
         early_check=early,
         check_interval=check_interval if early_cut_volume is not None else None,
     )
-    pf = Preflow(solver.flow, solver.level, solver.mass,
+    level, raised = solver.level, solver.raised
+    if len(level) - level.count(0) != len(raised):
+        raise InternalInvariantBroken("a vertex left level 0 unrecorded")
+    pf = Preflow(solver.flow, level, solver.mass,
                  inst.source_array, inst.sink_array)
-    pf.validate(inst)
-    excess = pf.total_excess()
+    excess = pf._checked_excess(inst, raised)
     if hit is not None:
         side, _ = hit
         cut = cut_stats(g, side, inst.alive)
@@ -476,12 +608,12 @@ def bounded_push_relabel(
         return pf, excess, cut
     if excess == 0:
         return pf, 0, None
-    found = _best_level_cut(g, solver.level, inst.phi, solver.max_level,
+    found = _best_level_cut(g, level, raised, inst.phi, solver.max_level,
                             needed_volume=excess if inst.check_degree_caps else 0,
                             alive=inst.alive)
     if found is None and inst.check_degree_caps:
         # fall back to the sparsest level cut regardless of volume before failing
-        found = _best_level_cut(g, solver.level, inst.phi, solver.max_level,
+        found = _best_level_cut(g, level, raised, inst.phi, solver.max_level,
                                 alive=inst.alive)
     if found is None:
         if not inst.check_degree_caps:
@@ -528,7 +660,7 @@ def decompose_preflow(g: MultiGraph, pf: Preflow, inst: FlowInstance) -> list[li
     excess_left = (mass - absorbed).tolist()
     paths: list[list[int]] = []
     source = inst.source
-    for a in np.flatnonzero(inst.source_array).tolist():
+    for a in inst._sources.tolist():
         for _ in range(source[a]):
             path = [a]
             pos = {a: 0}

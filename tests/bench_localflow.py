@@ -19,11 +19,18 @@ op until that call:
   where an early level-cut check stops the run at level 3.  No gap fires,
   so it times the level bookkeeping on a gap-free run.
 
-One more benchmark times a whole ``prune_batches`` op, its three
-``expander_prune`` calls, on a fresh copy of the graph each round, so that
-it pays for the slot lists as one ``balcut prune`` call does.
+Two more benchmarks time a whole ``prune_batches`` op, its three
+``expander_prune`` calls: one on a fresh copy of the graph each round, so
+that it pays for the slot lists as one ``balcut prune`` call does, and one
+on the same graph every round, as the benchmark's ops run.  The second
+records each op's minor page faults in ``extra_info``: trimming rounds
+that allocate m-sized temporaries fault their pages in again and again.
+The standalone call above pays the set-up that ``expander_prune`` makes
+once per call.
 """
 
+import resource
+import statistics
 import sys
 from pathlib import Path
 
@@ -43,11 +50,12 @@ class _Captured(Exception):
 
 
 def _first_call(module, workload):
-    """(instance, keyword arguments) of the op's first push-relabel call."""
+    """(instance, public keyword arguments) of the op's first push-relabel
+    call."""
     seen = []
 
     def capture(inst, **kw):
-        seen.append((inst, kw))
+        seen.append((inst, {k: v for k, v in kw.items() if not k.startswith("_")}))
         raise _Captured
 
     real = module.bounded_push_relabel
@@ -111,3 +119,21 @@ def test_prune_batches_op_on_a_fresh_graph(benchmark):
 
     out = benchmark.pedantic(op, setup=fresh, rounds=5)
     assert workload.digest(out) == workload.digest(workload.solve(inp))
+
+
+def test_prune_batches_op_on_a_reused_graph(benchmark):
+    workload = PruneBatches()
+    inp = workload.setup(1)
+    want = workload.digest(workload.solve(inp))  # builds the slot lists
+    faults = []
+
+    def op():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        out = [pruning.expander_prune(inp.g, workload.phi, batch) for batch in inp.batches]
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        return out
+
+    out = benchmark.pedantic(op, rounds=20)
+    benchmark.extra_info["minflt_per_op"] = faults
+    benchmark.extra_info["minflt_median"] = statistics.median(faults)
+    assert workload.digest(out) == want

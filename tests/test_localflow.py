@@ -438,7 +438,9 @@ def test_best_level_cut_matches_the_loop_reference():
             elif variant == "no level 0":
                 level = [rng.randint(1, max_level + 1) for _ in range(n)]
             want = _level_cut_reference(g, level, phi, max_level, needed, alive)
-            assert _best_level_cut(g, level, phi, max_level, needed, alive) == want
+            raised = [v for v in range(n) if level[v] > 0]
+            random.Random(trial).shuffle(raised)  # as vertices left level 0
+            assert _best_level_cut(g, level, raised, phi, max_level, needed, alive) == want
             hits[variant] += want is not None
     assert hits["all live"] > 50 and hits["alive mask"] > 40, hits
     assert hits["no level 0"] > 20 and hits["all dead"] == 0, hits
@@ -467,44 +469,16 @@ def test_best_level_cut_scores_only_occupied_levels(monkeypatch):
         pool = [0, 1, 2, 3, max_level - 1, max_level, max_level + 1, 2 * 10**6]
         level = [rng.choice(pool) for _ in range(n)]
         want = _level_cut_reference(g, level, Fraction(9, 10), max_level)
-        assert _best_level_cut(g, level, Fraction(9, 10), max_level) == want
+        raised = [v for v in range(n) if level[v] > 0]
+        assert _best_level_cut(g, level, raised, Fraction(9, 10), max_level) == want
         hits += want is not None
     assert hits >= 2
     assert max(tops) < 8  # one threshold per occupied level, not per level
 
 
-class _GapFreePushRelabel:
+class _GapFreePushRelabel(localflow._PushRelabel):
     """``_PushRelabel`` before the gap heuristic: stranded excess climbs
     one relabel at a time to the height cap."""
-
-    def __init__(self, inst):
-        g = inst.g
-        self.sink = inst.sink
-        self.indptr, self.inc, self.nbr = g.slots
-        self.eu = g.eu.tolist()
-        self.cap = inst.congestion_cap
-        self.h = inst.height_cap
-        self.flow = [0] * g.m
-        self.level = [0] * g.n
-        self.mass = list(inst.source)
-        self.ptr = self.indptr[:-1]
-        self.max_level = 0
-        self.work = 0
-        self.buckets = {}
-        self.level_heap = []
-        self.queued = bytearray(g.n)
-        for v in range(g.n):
-            if self.mass[v] > self.sink[v]:
-                self._enqueue(v, 0)
-
-    def _enqueue(self, v, lvl):
-        bucket = self.buckets.get(lvl)
-        if bucket is None:
-            bucket = deque()
-            self.buckets[lvl] = bucket
-            heapq.heappush(self.level_heap, lvl)
-        bucket.append(v)
-        self.queued[v] = 1
 
     def _discharge(self, v):
         inc, nbr, eu = self.inc, self.nbr, self.eu
@@ -526,6 +500,8 @@ class _GapFreePushRelabel:
                         new = level[w] + 1
                 self.work += end - start + 1
                 self.ptr[v] = start
+                if not level[v]:
+                    self.raised.append(v)
                 lv = min(max(new, level[v] + 1), h)
                 level[v] = lv
                 if lv > self.max_level:
@@ -550,7 +526,11 @@ class _GapFreePushRelabel:
             k += 1
         self.ptr[v] = k
 
-    run = localflow._PushRelabel.run
+
+def _posed(inst):
+    solver = localflow._PushRelabel(inst.g, inst.alive)
+    solver.pose(inst)
+    return solver
 
 
 def _two_blocks(size, degree, seed, bridges):
@@ -591,7 +571,7 @@ def _stranding_instance(kind, seed):
 def test_gap_heuristic_matches_the_gap_free_solver(kind, monkeypatch):
     for seed in range(6):
         inst = _stranding_instance(kind, seed)
-        solver = localflow._PushRelabel(inst)
+        solver = _posed(inst)
         solver.run()
         assert solver.gaps >= 1
         # the per-level counts still match the levels below the cap
@@ -622,7 +602,7 @@ def test_work_does_not_grow_with_the_height_cap():
     seen = set()
     for q in (4, 16, 64):
         inst = FlowInstance(g, source, sink, Fraction(1, q))
-        solver = localflow._PushRelabel(inst)
+        solver = _posed(inst)
         solver.run()
         assert solver.gaps == 1
         assert solver.level[:16] == [inst.height_cap] * 16
@@ -685,6 +665,36 @@ def test_masked_instance_matches_the_live_subgraph():
             assert (cut.delta, cut.vol_s, cut.vol_comp, cut.conductance) == (
                 sub_cut.delta, sub_cut.vol_s, sub_cut.vol_comp, sub_cut.conductance)
     assert cuts >= 20
+
+
+def test_a_solver_posed_again_runs_like_a_fresh_one():
+    # One solver serves a sequence of instances on the same live edges
+    # and sinks.  Each run, stopped early or not, must come out as a fresh
+    # solver's, whatever the runs before it left in the solver's lists.
+    seen = Counter()
+    for seed in range(60):
+        g, keep, alive, _, sink, phi, capped = _masked_instance(seed)
+        deg = live_degrees(g, alive).tolist()
+        rng = random.Random(seed)
+        solver = localflow._PushRelabel(g, alive)
+        for _ in range(5):
+            source = [0] * g.n
+            for v in rng.sample(range(g.n), rng.randint(1, g.n)):
+                source[v] = rng.randint(0, deg[v] if capped else 3 * deg[v])
+            while sum(source) > sum(sink):
+                source[source.index(max(source))] -= 1
+            inst = FlowInstance(g, source, sink, phi, check_degree_caps=capped,
+                                alive=alive)
+            kw = {}
+            if rng.random() < 0.5:
+                kw = {"early_cut_volume": 1, "check_interval": rng.randint(1, 8)}
+            pf, excess, cut = bounded_push_relabel(inst, **kw)
+            got = bounded_push_relabel(inst, _solver=solver, **kw)
+            assert (got[0].flow, got[0].level, got[0].mass) == (pf.flow, pf.level, pf.mass)
+            assert got[1:] == (excess, cut)
+            seen["early stops"] += bool(kw) and any(solver.buckets.values())
+            seen["raised"] += bool(solver.raised)
+    assert seen["early stops"] >= 10 and seen["raised"] >= 100, seen
 
 
 def _assert_on_the_footprint(inst, pf, cut):
@@ -801,7 +811,15 @@ def test_validate_catches_violations_on_and_off_the_footprint(monkeypatch):
     saturated = next(eid for eid, f in enumerate(pf.flow) if abs(f) == cap)
     with pytest.raises(InternalInvariantBroken, match="^edge congestion above cap$"):
         injected(saturated, pf.flow[saturated] // cap, True).validate(inst)
-    assert full["recounts"] == 7
+    # a stale unit of mass where no flow or source is: only the count of
+    # nonzero masses shows it, and the full recount reports it
+    idle = next(x for x in range(g.n) if not source[x] and x not in raised
+                and not any(pf.flow[eid] for eid in g.inc[g.indptr[x]:g.indptr[x + 1]]))
+    stale = Preflow(pf.flow, level, list(mass), pf.source, pf.sink)
+    stale.mass[idle] += 1
+    with pytest.raises(InternalInvariantBroken, match=f"^mass mismatch at vertex {idle}$"):
+        stale.validate(inst)
+    assert full["recounts"] == 8
 
 
 def test_alive_mask_must_be_a_boolean_array_over_the_edges():
@@ -815,6 +833,30 @@ def test_alive_mask_must_be_a_boolean_array_over_the_edges():
     # degree caps read live degrees: vertex 0 keeps no edge
     with pytest.raises(InvalidInput, match="vertex 0: source/sink exceeds its degree"):
         FlowInstance(g, (1, 0, 0), (0, 0, 1), Fraction(1, 2), alive=np.array([False, True]))
+
+
+def test_non_integral_sources_and_sinks_are_rejected():
+    g = complete_graph(3)
+    phi = Fraction(1, 2)
+    bad = [
+        ([0.5, 0, 0], [1.9, 1, 0]),  # casting would store source 0, sink 1
+        ((0, 0, 0), (0, 1.0, 0)),
+        ((0, "1", 0), (0, 1, 1)),
+        (np.array([0.5, 0, 0]), np.zeros(3, dtype=np.int64)),
+        ([0, 0, np.float64(1)], [0, 1, 1]),
+    ]
+    for source, sink in bad:
+        with pytest.raises(InvalidInput, match="^source and sink values must be integers$"):
+            FlowInstance(g, source, sink, phi)
+    # Python ints and bools and numpy integers of any width or signedness
+    for source, sink in [
+        ([True, 0, 0], [0, 0, 1]),
+        ((np.int8(1), 0, 0), (np.uint64(0), np.int32(0), 1)),
+        (np.array([1, 0, 0], dtype=np.uint16), np.array([False, False, True])),
+    ]:
+        inst = FlowInstance(g, source, sink, phi)
+        assert inst.source == (1, 0, 0) and inst.sink == (0, 0, 1)
+        assert inst.source_array.dtype == np.int64 == inst.sink_array.dtype
 
 
 def test_instance_keeps_its_own_read_only_arrays():
@@ -863,9 +905,9 @@ def test_expander_prune_trims_on_the_host_graph(monkeypatch):
 
     real_flow = pruning.bounded_push_relabel
 
-    def counting_flow(inst):
+    def counting_flow(inst, **kw):
         calls["rounds"] += 1
-        return real_flow(inst)
+        return real_flow(inst, **kw)
 
     monkeypatch.setattr(graph, "masked_subgraph", forbidden)
     monkeypatch.setattr(pruning, "masked_subgraph", forbidden)
