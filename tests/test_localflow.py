@@ -1,7 +1,6 @@
-import heapq
 import math
 import random
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
