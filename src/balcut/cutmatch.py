@@ -48,6 +48,7 @@ from .expanders import (
 from .graph import (
     MultiGraph,
     ORACLE_LIMIT,
+    _distinct,
     brute_force_extremum,
     connected_components,
     cut_edge_count,
@@ -612,7 +613,7 @@ def walk_potential(rounds: Sequence[Sequence[tuple[int, int]]], n: int) -> list[
         us = np.array([u for u, _ in pairs], dtype=np.int64)
         vs = np.array([v for _, v in pairs], dtype=np.int64)
         if len(us):
-            if len(np.unique(np.concatenate([us, vs]))) != 2 * len(us):
+            if len(_distinct(np.concatenate([us, vs]))) != 2 * len(us):
                 raise InvalidInput("a walk round must be a matching")
             avg = 0.5 * (p[:, us] + p[:, vs])
             p[:, us] = avg

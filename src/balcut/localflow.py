@@ -9,7 +9,13 @@ returns the sparsest qualifying cut, so the contract is self-enforcing
 rather than assumed.  All arithmetic is integral; phi is an exact rational.
 
 Push order is lowest-label first with FIFO buckets and relabel-to-minimum,
-which keeps runs deterministic.
+which keeps runs deterministic.  A discharge scores the relabel minimum on
+the scan it already makes (Cherkassky and Goldberg): each slot it passes
+adds its neighbour's level when the slot has residual capacity, so a
+relabel reads again only the slots [start, k0) that a discharge resumed at
+slot k0 did not pass.  The ``work`` counter, which paces the early
+level-cut checks, counts exactly what a scan followed by a relabel pass
+over every slot counts.
 
 Gap rule (Cherkassky and Goldberg): when a relabel empties a level L,
 every vertex above L is lifted to the height cap at once.  A sink below
@@ -383,6 +389,7 @@ class _PushRelabel:
             return
         if self.nbr is self.g.slots[2]:
             self.nbr = list(self.nbr)  # the graph's list is shared
+            self._bind_lists()
         nbr = self.nbr
         for k, v in zip(slots.tolist(), owners.tolist()):
             nbr[k] = v
@@ -419,11 +426,19 @@ class _PushRelabel:
         self.gaps = 0
         # Buckets are allocated lazily: the height cap scales with 1/phi and
         # can dwarf the number of levels ever touched.
-        self.buckets = {}
-        self.level_heap: list[int] = []
-        active = inst.source_array[sources] > inst.sink_array[sources]
-        for v in sources[active].tolist():
-            self._enqueue(v, 0)
+        active = sources[inst.source_array[sources] > inst.sink_array[sources]].tolist()
+        self.buckets = {0: deque(active)} if active else {}
+        self.level_heap: list[int] = [0] if active else []
+        queued = self.queued
+        for v in active:
+            queued[v] = 1
+        self._bind_lists()
+
+    def _bind_lists(self) -> None:
+        """Gather the lists ``_discharge`` reads into one tuple; called
+        again whenever one of them is replaced."""
+        self.lists = (self.indptr, self.inc, self.nbr, self.eu, self.flow,
+                      self.level, self.mass, self.sink, self.ptr, self.queued)
 
     def _reset(self) -> None:
         """Zero the last run's levels, pointers, flows and masses over its
@@ -460,65 +475,88 @@ class _PushRelabel:
         self.queued[v] = 1
 
     def _discharge(self, v: int) -> None:
-        """Push v's excess down admissible slots, or relabel v.
+        """Push v's excess down admissible slots, or relabel v.  ``run``
+        discharges only vertices that hold excess.
 
         Slot k's residual is cap - flow[inc[k]] when v is the edge's ``eu``
-        end, cap + flow[inc[k]] otherwise, and zero on a self-loop."""
-        inc, nbr, eu = self.inc, self.nbr, self.eu
-        flow, level, mass, sink = self.flow, self.level, self.mass, self.sink
+        end, cap + flow[inc[k]] otherwise, and zero on a self-loop.  The
+        scan resumes at k0 = ptr[v] and scores every slot it passes: ``low``
+        is the lowest level among the residual neighbours passed.  Within
+        one discharge only v's level changes, and flow changes only on the
+        slot being pushed, which is read again before the scan passes it;
+        so every passed slot's residual and neighbour level still hold when
+        the scan ends.  The relabel to one above the lowest residual
+        neighbour then rescans only [start, k0), the slots this discharge
+        did not pass.  ``work`` counts what a scan followed by a full
+        relabel pass counts: one unit per slot read (a saturating push
+        reads its slot twice) and deg(v) + 1 per relabel."""
+        indptr, inc, nbr, eu, flow, level, mass, sink, ptr, queued = self.lists
         cap, h = self.cap, self.h
-        sink_v = sink[v]
-        start, end = self.indptr[v], self.indptr[v + 1]
-        k = self.ptr[v]
-        while mass[v] > sink_v:
-            if k >= end:
-                # relabel to one above the lowest residual neighbor
-                new = h
-                for j in range(start, end):
-                    w = nbr[j]
-                    if w == v:
-                        continue
-                    eid = inc[j]
-                    res = cap - flow[eid] if eu[eid] == v else cap + flow[eid]
-                    if res > 0 and level[w] + 1 < new:
-                        new = level[w] + 1
-                self.work += end - start + 1
-                self.ptr[v] = start
-                old = level[v]
-                if not old:
-                    self.raised.append(v)
-                lv = min(max(new, old + 1), h)
-                level[v] = lv
-                count = self.count
-                count[old] -= 1
-                if not count[old]:
-                    self._gap(old)  # lifts v as well
-                    return
-                if lv > self.max_level:
-                    self.max_level = lv
-                if lv < h:
-                    if lv == len(count):
-                        count.append(1)
-                    else:
-                        count[lv] += 1
-                    self._enqueue(v, lv)
-                return
-            self.work += 1
+        start, end = indptr[v], indptr[v + 1]
+        k0 = ptr[v]
+        old = level[v]
+        below = old - 1
+        mass_v, sink_v = mass[v], sink[v]
+        low = h - 1  # the relabel lands at low + 1 <= h
+        saturated = 0
+        for k in range(k0, end):
             w = nbr[k]
-            if level[w] == level[v] - 1:  # never on a self-loop
+            lw = level[w]
+            if lw == below:  # never on a self-loop
                 eid = inc[k]
                 forward = eu[eid] == v
                 res = cap - flow[eid] if forward else cap + flow[eid]
                 if res > 0:
-                    amount = min(mass[v] - sink_v, res)
+                    extra = mass_v - sink_v
+                    amount = res if res < extra else extra
                     flow[eid] += amount if forward else -amount
-                    mass[v] -= amount
+                    mass_v -= amount
                     mass[w] += amount
-                    if mass[w] > sink[w] and level[w] < h and not self.queued[w]:
-                        self._enqueue(w, level[w])
-                    continue
-            k += 1
-        self.ptr[v] = k
+                    if mass[w] > sink[w] and lw < h and not queued[w]:
+                        self._enqueue(w, lw)
+                    if amount == extra:
+                        mass[v] = mass_v
+                        ptr[v] = k
+                        self.work += k - k0 + saturated + 1
+                        return
+                    saturated += 1  # read again, at zero residual, and passed
+            elif lw < low and w != v:
+                eid = inc[k]
+                if (cap - flow[eid] if eu[eid] == v else cap + flow[eid]) > 0:
+                    low = lw
+        for j in range(start, k0):
+            w = nbr[j]
+            lw = level[w]
+            if lw < low and w != v:
+                eid = inc[j]
+                if (cap - flow[eid] if eu[eid] == v else cap + flow[eid]) > 0:
+                    low = lw
+        mass[v] = mass_v
+        self.work += end - k0 + saturated + end - start + 1
+        ptr[v] = start
+        if not old:
+            self.raised.append(v)
+        lv = (low if low > old else old) + 1  # old < h: run skips level h
+        level[v] = lv
+        count = self.count
+        count[old] -= 1
+        if not count[old]:
+            self._gap(old)  # lifts v as well
+            return
+        if lv > self.max_level:
+            self.max_level = lv
+        if lv < h:
+            if lv == len(count):
+                count.append(1)
+            else:
+                count[lv] += 1
+            bucket = self.buckets.get(lv)
+            if bucket is None:
+                self.buckets[lv] = deque((v,))
+                heapq.heappush(self.level_heap, lv)
+            else:
+                bucket.append(v)
+            queued[v] = 1
 
     def _gap(self, old: int) -> None:
         """Level ``old`` just emptied: lift every vertex above it to h,
@@ -534,20 +572,22 @@ class _PushRelabel:
     def run(self, early_check=None, check_interval: int | None = None):
         """Run to quiescence; ``early_check(state) -> cut|None`` may stop it."""
         next_check = check_interval or 0
-        heap = self.level_heap
+        heap, buckets, queued = self.level_heap, self.buckets, self.queued
+        level, mass, sink = self.level, self.mass, self.sink
+        discharge, heappop = self._discharge, heapq.heappop
         while heap:
             lvl = heap[0]
-            bucket = self.buckets.get(lvl)
+            bucket = buckets.get(lvl)
             if not bucket:
-                heapq.heappop(heap)
+                heappop(heap)
                 if bucket is not None:
-                    del self.buckets[lvl]
+                    del buckets[lvl]
                 continue
             v = bucket.popleft()
-            self.queued[v] = 0
-            if self.level[v] != lvl or self.mass[v] <= self.sink[v]:
+            queued[v] = 0
+            if level[v] != lvl or mass[v] <= sink[v]:
                 continue
-            self._discharge(v)
+            discharge(v)
             if check_interval and self.work >= next_check:
                 next_check = self.work + check_interval
                 found = early_check(self)

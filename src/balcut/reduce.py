@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import pairwise
 from typing import Iterable
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .expanders import construct_expander, expander_sparsity_floor
-from .graph import MultiGraph
+from .graph import MultiGraph, _distinct
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,15 @@ class ReducedGraph:
     type2_map: tuple[int, ...]
     original_n: int
 
+    @cached_property
+    def _cluster_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """First hat vertex and size of each nonempty cluster, in order."""
+        k = len(self.clusters)
+        start = np.fromiter((c.start for c in self.clusters), np.int64, k)
+        size = np.fromiter(map(len, self.clusters), np.int64, k)
+        nonempty = size > 0
+        return start[nonempty], size[nonempty]
+
 
 def reduce_degree(g: MultiGraph) -> ReducedGraph:
     """Build the reduced graph; linear in the number of edges.
@@ -64,7 +74,7 @@ def reduce_degree(g: MultiGraph) -> ReducedGraph:
 
     # Type-1 edges: each vertex's cluster expander shifted by indptr[v], in
     # vertex order, read from one table of every degree's expander edges.
-    sizes = np.unique(deg[deg > 0])
+    sizes = _distinct(deg[deg > 0])
     inners = [construct_expander(d) for d in sizes.tolist()]
     table_u = np.concatenate([h.eu for h in inners])
     table_v = np.concatenate([h.ev for h in inners])
@@ -90,15 +100,17 @@ def reduce_degree(g: MultiGraph) -> ReducedGraph:
 
 
 def is_canonical(r: ReducedGraph, vertices: Iterable[int]) -> bool:
-    """True iff the set never splits a cluster."""
-    members = set(vertices)
-    for cluster in r.clusters:
-        if not cluster:
-            continue
-        inside = sum(1 for u in cluster if u in members)
-        if inside not in (0, len(cluster)):
-            return False
-    return True
+    """True iff the set never splits a cluster.  Ids outside V(hat_g) lie
+    in no cluster and are ignored."""
+    n = r.hat_g.n
+    ids = np.fromiter(vertices, np.int64)
+    member = np.zeros(n, dtype=bool)
+    member[ids[(ids >= 0) & (ids < n)]] = True
+    # The clusters tile V(hat_g) in order, so the segments between the
+    # nonempty clusters' first vertices are those clusters.
+    start, size = r._cluster_bounds
+    inside = np.add.reduceat(member, start, dtype=np.int64)
+    return bool(((inside == 0) | (inside == size)).all())
 
 
 def lift_cut(r: ReducedGraph, side: Iterable[int]) -> frozenset[int]:

@@ -16,8 +16,10 @@ op until that call:
   checks are off at this size).  Its excess is stranded, so the gap
   heuristic fires;
 - ``decompose_planted``: the first matcher instance of the decomposition,
-  where an early level-cut check stops the run at level 3.  No gap fires,
-  so it times the level bookkeeping on a gap-free run.
+  a relabel-only run: 30,123 of its 30,124 discharges end in a relabel and
+  one pushes (the op's three matcher runs push 3 times in 60,248
+  discharges).  An early level-cut check stops it at level 3.  No gap
+  fires, so it times the slot scans and the level bookkeeping of relabels.
 
 Two more benchmarks time a whole ``prune_batches`` op, its three
 ``expander_prune`` calls: one on a fresh copy of the graph each round, so
@@ -27,6 +29,10 @@ records each op's minor page faults in ``extra_info``: trimming rounds
 that allocate m-sized temporaries fault their pages in again and again.
 The standalone call above pays the set-up that ``expander_prune`` makes
 once per call.
+
+Every benchmark records in ``extra_info`` the solver's ``work``, ``gaps``
+and ``len(raised)`` after each push-relabel run of one untimed call, so
+that a change that alters the work the solver does shows up there.
 """
 
 import resource
@@ -69,6 +75,27 @@ def _first_call(module, workload):
     return seen[0]
 
 
+def _record_runs(benchmark, op, *args, **kwargs):
+    """``op(*args, **kwargs)``, run once and untimed; each push-relabel
+    run's work, gap count and |R| go in the benchmark's ``extra_info``."""
+    runs = []
+    real = localflow._PushRelabel.run
+
+    def run(self, *a, **kw):
+        found = real(self, *a, **kw)
+        runs.append((self.work, self.gaps, len(self.raised)))
+        return found
+
+    localflow._PushRelabel.run = run
+    try:
+        out = op(*args, **kwargs)
+    finally:
+        localflow._PushRelabel.run = real
+    for key, values in zip(("work", "gaps", "raised"), zip(*runs)):
+        benchmark.extra_info[key] = list(values)
+    return out
+
+
 @pytest.fixture(scope="module")
 def trimming_round():
     return _first_call(pruning, PruneBatches())
@@ -86,6 +113,7 @@ def early_stopped_instance():
 
 def test_prune_batches_first_trimming_round(benchmark, trimming_round):
     inst, kw = trimming_round
+    _record_runs(benchmark, bounded_push_relabel, inst, **kw)
     assert not inst.check_degree_caps and inst.alive is not None
     pf, excess, cut = benchmark(bounded_push_relabel, inst, **kw)
     assert len(pf.flow) == inst.g.m
@@ -93,6 +121,7 @@ def test_prune_batches_first_trimming_round(benchmark, trimming_round):
 
 def test_sparsest_planted_first_matcher_instance(benchmark, matcher_instance):
     inst, kw = matcher_instance
+    _record_runs(benchmark, bounded_push_relabel, inst, **kw)
     assert inst.check_degree_caps
     pf, excess, cut = benchmark(bounded_push_relabel, inst, **kw)
     assert len(pf.flow) == inst.g.m
@@ -100,6 +129,7 @@ def test_sparsest_planted_first_matcher_instance(benchmark, matcher_instance):
 
 def test_decompose_planted_first_matcher_instance(benchmark, early_stopped_instance):
     inst, kw = early_stopped_instance
+    _record_runs(benchmark, bounded_push_relabel, inst, **kw)
     assert kw["early_cut_volume"] is not None
     pf, excess, cut = benchmark(bounded_push_relabel, inst, **kw)
     # a gap would have lifted at least one vertex to the height cap
@@ -117,6 +147,7 @@ def test_prune_batches_op_on_a_fresh_graph(benchmark):
     def op(g):
         return [pruning.expander_prune(g, workload.phi, batch) for batch in inp.batches]
 
+    _record_runs(benchmark, op, fresh()[0][0])
     out = benchmark.pedantic(op, setup=fresh, rounds=5)
     assert workload.digest(out) == workload.digest(workload.solve(inp))
 
@@ -124,7 +155,7 @@ def test_prune_batches_op_on_a_fresh_graph(benchmark):
 def test_prune_batches_op_on_a_reused_graph(benchmark):
     workload = PruneBatches()
     inp = workload.setup(1)
-    want = workload.digest(workload.solve(inp))  # builds the slot lists
+    want = workload.digest(_record_runs(benchmark, workload.solve, inp))  # builds the slot lists
     faults = []
 
     def op():

@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 from collections import Counter
@@ -694,6 +695,182 @@ def test_a_solver_posed_again_runs_like_a_fresh_one():
             seen["early stops"] += bool(kw) and any(solver.buckets.values())
             seen["raised"] += bool(solver.raised)
     assert seen["early stops"] >= 10 and seen["raised"] >= 100, seen
+
+
+class _TwoPassPushRelabel(localflow._PushRelabel):
+    """``_PushRelabel`` with the two-pass discharge: the scan looks for an
+    admissible slot only, and the relabel reads every slot of v again."""
+
+    def _discharge(self, v):
+        inc, nbr, eu = self.inc, self.nbr, self.eu
+        flow, level, mass, sink = self.flow, self.level, self.mass, self.sink
+        cap, h = self.cap, self.h
+        sink_v = sink[v]
+        start, end = self.indptr[v], self.indptr[v + 1]
+        k = self.ptr[v]
+        while mass[v] > sink_v:
+            if k >= end:
+                # relabel to one above the lowest residual neighbor
+                new = h
+                for j in range(start, end):
+                    w = nbr[j]
+                    if w == v:
+                        continue
+                    eid = inc[j]
+                    res = cap - flow[eid] if eu[eid] == v else cap + flow[eid]
+                    if res > 0 and level[w] + 1 < new:
+                        new = level[w] + 1
+                self.work += end - start + 1
+                self.ptr[v] = start
+                old = level[v]
+                if not old:
+                    self.raised.append(v)
+                lv = min(max(new, old + 1), h)
+                level[v] = lv
+                count = self.count
+                count[old] -= 1
+                if not count[old]:
+                    self._gap(old)  # lifts v as well
+                    return
+                if lv > self.max_level:
+                    self.max_level = lv
+                if lv < h:
+                    if lv == len(count):
+                        count.append(1)
+                    else:
+                        count[lv] += 1
+                    self._enqueue(v, lv)
+                return
+            self.work += 1
+            w = nbr[k]
+            if level[w] == level[v] - 1:  # never on a self-loop
+                eid = inc[k]
+                forward = eu[eid] == v
+                res = cap - flow[eid] if forward else cap + flow[eid]
+                if res > 0:
+                    amount = min(mass[v] - sink_v, res)
+                    flow[eid] += amount if forward else -amount
+                    mass[v] -= amount
+                    mass[w] += amount
+                    if mass[w] > sink[w] and level[w] < h and not self.queued[w]:
+                        self._enqueue(w, level[w])
+                    continue
+            k += 1
+        self.ptr[v] = k
+
+
+def _residuals(solver, v):
+    """The residual of each of v's slots, zero at self-loops and dead slots."""
+    out = []
+    for j in range(solver.indptr[v], solver.indptr[v + 1]):
+        eid = solver.inc[j]
+        if solver.nbr[j] == v:
+            out.append(0)
+        else:
+            f = solver.flow[eid]
+            out.append(solver.cap - f if solver.eu[eid] == v else solver.cap + f)
+    return out
+
+
+def _discharges(solver):
+    """``run``'s loop without its checks, one discharge at a time.  Yields,
+    per discharge, whether it relabelled v after a scan resumed past v's
+    first slot, and whether it relabelled v after a push saturated one of
+    v's slots."""
+    heap, buckets = solver.level_heap, solver.buckets
+    while heap:
+        lvl = heap[0]
+        bucket = buckets.get(lvl)
+        if not bucket:
+            heapq.heappop(heap)
+            if bucket is not None:
+                del buckets[lvl]
+            continue
+        v = bucket.popleft()
+        solver.queued[v] = 0
+        if solver.level[v] != lvl or solver.mass[v] <= solver.sink[v]:
+            continue
+        old, resumed = solver.level[v], solver.ptr[v] > solver.indptr[v]
+        before = _residuals(solver, v)
+        solver._discharge(v)
+        relabelled = solver.level[v] != old
+        saturated = any(a > 0 and b == 0 for a, b in zip(before, _residuals(solver, v)))
+        yield relabelled and resumed, relabelled and saturated
+
+
+def _solver_state(solver):
+    return dict(
+        flow=solver.flow, level=solver.level, mass=solver.mass, ptr=solver.ptr,
+        work=solver.work, raised=solver.raised, count=solver.count,
+        max_level=solver.max_level, gaps=solver.gaps, queued=bytes(solver.queued),
+        buckets={lvl: list(b) for lvl, b in solver.buckets.items()},
+        level_heap=solver.level_heap,
+    )
+
+
+def _multigraph_instance(seed):
+    """A random multigraph with self-loops and parallel edges, sinks at or
+    below the degrees, and sources piled on up to three vertices."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 20)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(n, 3 * n))]
+    edges += rng.choices(edges, k=rng.randint(0, 6))  # parallel copies
+    g = MultiGraph(n, edges)
+    deg = g.degrees()
+    sink = [rng.randint(0, d) for d in deg]
+    source = [0] * n
+    piles = rng.sample(range(n), rng.randint(1, 3))
+    while sum(source) < sum(sink):
+        source[rng.choice(piles)] += rng.randint(1, 2 * max(deg))
+    while sum(source) > sum(sink):
+        source[source.index(max(source))] -= 1
+    return FlowInstance(g, source, sink, Fraction(1, rng.choice([1, 2])),
+                        check_degree_caps=False)
+
+
+def test_one_pass_discharge_matches_the_two_pass_reference():
+    # The solver scores the relabel minimum on the scan and rescans only
+    # the slots a resumed discharge did not pass.  Run under ``run`` with a
+    # check after every discharge, it must leave the reference's state
+    # after each one, stepped one discharge at a time.
+    from balcut.localflow import _best_level_cut
+
+    seen = Counter()
+    for seed in range(240):
+        if seed % 3 == 0:
+            inst = _multigraph_instance(seed)
+        elif seed % 3 == 1:
+            g, _, alive, source, sink, phi, capped = _masked_instance(seed)
+            inst = FlowInstance(g, source, sink, phi, check_degree_caps=capped,
+                                alive=alive)
+        else:
+            inst = _stranding_instance(("bridged", "disconnected", "trimming")[seed % 4 % 3],
+                                       seed)
+        early = seed % 4 == 0
+        solver, ref = _posed(inst), _TwoPassPushRelabel(inst.g, inst.alive)
+        ref.pose(inst)
+        steps = _discharges(ref)
+
+        def check(state):
+            step = next(steps, None)
+            assert step is not None
+            assert _solver_state(state) == _solver_state(ref)
+            seen["discharges"] += 1
+            seen["resumed relabels"] += step[0]
+            seen["relabels after a saturating push"] += step[1]
+            if early:
+                return _best_level_cut(inst.g, state.level, state.raised, inst.phi,
+                                       state.max_level, needed_volume=1, alive=inst.alive)
+            return None
+
+        hit = solver.run(early_check=check, check_interval=1)
+        seen["early stops"] += hit is not None
+        if hit is None:
+            assert next(steps, None) is None
+        seen["gaps"] += solver.gaps
+    assert seen["resumed relabels"] >= 50, seen
+    assert seen["relabels after a saturating push"] >= 50, seen
+    assert seen["early stops"] >= 10 and seen["gaps"] >= 10, seen
 
 
 def _assert_on_the_footprint(inst, pf, cut):

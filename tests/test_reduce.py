@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from balcut.errors import InvalidInput
@@ -93,6 +96,46 @@ def test_project_degenerate_full_side():
     orig_a, orig_b = project_cut(r, all_hat, frozenset())
     assert orig_a == frozenset(range(4))
     assert orig_b == frozenset()
+
+
+def _is_canonical_reference(r, vertices):
+    """``is_canonical`` as a walk over every cluster's members."""
+    members = set(vertices)
+    for cluster in r.clusters:
+        if not cluster:
+            continue
+        inside = sum(1 for u in cluster if u in members)
+        if inside not in (0, len(cluster)):
+            return False
+    return True
+
+
+def test_is_canonical_matches_the_set_loop():
+    # Random multigraphs whose isolated vertices (empty clusters) fall at
+    # the ends and in the middle; canonical sets, sets that split a few
+    # clusters, and ids outside V(hat_g), which lie in no cluster.
+    rng = random.Random(7)
+    seen = Counter()
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 2 * n))]
+        g = MultiGraph(n, edges)
+        r = reduce_degree(g)
+        n_hat = r.hat_g.n
+        seen["empty clusters"] += sum(not c for c in r.clusters)
+        for _ in range(6):
+            members = set(lift_cut(r, [v for v in range(n) if rng.random() < 0.5]))
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                members ^= {rng.randrange(n_hat)}
+            members |= {rng.choice([-3, -1, n_hat, n_hat + 5, 10**12])
+                        for _ in range(rng.randint(0, 2))}
+            want = _is_canonical_reference(r, members)
+            assert is_canonical(r, members) == want
+            assert is_canonical(r, sorted(members) * 2) == want  # repeated ids
+            seen[want] += 1
+        assert is_canonical(r, range(-2, n_hat + 2))
+        assert is_canonical(r, ())
+    assert seen[True] >= 200 and seen[False] >= 200 and seen["empty clusters"] >= 50, seen
 
 
 def test_make_canonical_identity_on_canonical_cut():
