@@ -214,7 +214,7 @@ def cut_or_certify(g: MultiGraph, r: int) -> BalancedCutMove | CertifiedSubset:
             if took is None:
                 # A giant component holds > 3n/4 vertices: peel all the small
                 # components (< n/4 total) and continue on the giant.
-                small = sorted(comps, key=lambda c: (len(c), c[0]))[:-1]
+                small = sorted(comps, key=len)[:-1]
                 for comp in small:
                     acc.update(idx[v] for v in comp)
             else:
@@ -256,8 +256,11 @@ def cut_or_certify(g: MultiGraph, r: int) -> BalancedCutMove | CertifiedSubset:
 
 
 def _peel_components(comps, acc_size, quarter, n):
-    """Batch smallest components, never letting the peel pass 3n/4."""
-    by_size = sorted(comps, key=lambda c: (len(c), c[0]))
+    """Batch smallest components, never letting the peel pass 3n/4.
+
+    ``comps`` come ordered by first vertex, so the stable sort by size
+    breaks ties by first vertex."""
+    by_size = sorted(comps, key=len)
     largest = by_size[-1]
     if 4 * len(largest) > 3 * n:
         return None  # giant component; caller peels the rest and recurses

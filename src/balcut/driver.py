@@ -245,7 +245,7 @@ def bal_cut_prune(g: MultiGraph, phi, r: int) -> BalCutPruneResult:
         if len(sub_comps) > 1:
             # peel the smallest component (always canonical: cluster graphs
             # are connected, so components never split clusters)
-            smallest = min(sub_comps, key=lambda c: (len(c), c[0]))
+            smallest = min(sub_comps, key=len)  # ties: the lowest first vertex
             if 2 * len(smallest) > len(members):
                 smallest = [v for v in range(sub.n) if v not in set(smallest)]
             acc.update(idx[v] for v in smallest)

@@ -45,13 +45,14 @@ class ReducedGraph:
     original_n: int
 
     @cached_property
-    def _cluster_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """First hat vertex and size of each nonempty cluster, in order."""
+    def _cluster_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Original vertex, first hat vertex and size of each nonempty
+        cluster, in order."""
         k = len(self.clusters)
         start = np.fromiter((c.start for c in self.clusters), np.int64, k)
         size = np.fromiter(map(len, self.clusters), np.int64, k)
-        nonempty = size > 0
-        return start[nonempty], size[nonempty]
+        owner = np.flatnonzero(size)
+        return owner, start[owner], size[owner]
 
 
 def reduce_degree(g: MultiGraph) -> ReducedGraph:
@@ -102,15 +103,26 @@ def reduce_degree(g: MultiGraph) -> ReducedGraph:
 def is_canonical(r: ReducedGraph, vertices: Iterable[int]) -> bool:
     """True iff the set never splits a cluster.  Ids outside V(hat_g) lie
     in no cluster and are ignored."""
+    _, _, size = r._cluster_bounds
+    inside = _cluster_counts(r, _membership(r, vertices))
+    return bool(((inside == 0) | (inside == size)).all())
+
+
+def _membership(r: ReducedGraph, vertices: Iterable[int]) -> np.ndarray:
+    """Boolean mask over V(hat_g) of ``vertices``; other ids are dropped."""
     n = r.hat_g.n
     ids = np.fromiter(vertices, np.int64)
     member = np.zeros(n, dtype=bool)
     member[ids[(ids >= 0) & (ids < n)]] = True
-    # The clusters tile V(hat_g) in order, so the segments between the
-    # nonempty clusters' first vertices are those clusters.
-    start, size = r._cluster_bounds
-    inside = np.add.reduceat(member, start, dtype=np.int64)
-    return bool(((inside == 0) | (inside == size)).all())
+    return member
+
+
+def _cluster_counts(r: ReducedGraph, member: np.ndarray) -> np.ndarray:
+    """Members in each nonempty cluster, in order.  The clusters tile
+    V(hat_g) in order, so the segments between the nonempty clusters'
+    first vertices are those clusters."""
+    _, start, _ = r._cluster_bounds
+    return np.add.reduceat(member, start, dtype=np.int64)
 
 
 def lift_cut(r: ReducedGraph, side: Iterable[int]) -> frozenset[int]:
@@ -142,18 +154,20 @@ def make_canonical(
         raise InvalidInput("a_side/b_side must partition the host set")
     if not is_canonical(r, host_set):
         raise InvalidInput("host vertex set is not canonical")
-    for cluster in r.clusters:
-        if not cluster or cluster[0] not in host_set:
-            continue
-        in_a = [u for u in cluster if u in a]
-        if 0 < len(in_a) < len(cluster):
-            in_b = [u for u in cluster if u in b]
-            if len(in_a) >= len(in_b):
-                a.update(in_b)
-                b.difference_update(in_b)
-            else:
-                b.update(in_a)
-                a.difference_update(in_a)
+    # A cluster that A splits lies inside the canonical host, so its B part
+    # is the rest of it.
+    _, _, size = r._cluster_bounds
+    in_a = _membership(r, a)
+    inside = _cluster_counts(r, in_a)
+    split = (inside > 0) & (inside < size)
+    to_a = np.repeat(split & (2 * inside >= size), size)  # ties go to A
+    to_b = np.repeat(split, size) & ~to_a
+    gain = np.flatnonzero(to_a & ~in_a).tolist()
+    loss = np.flatnonzero(to_b & in_a).tolist()
+    a.update(gain)
+    a.difference_update(loss)
+    b.update(loss)
+    b.difference_update(gain)
     return frozenset(a), frozenset(b)
 
 
@@ -183,11 +197,8 @@ def project_cut(
         raise InvalidInput("canonical sides must partition V(hat_g)")
     if not is_canonical(r, a):
         raise InvalidInput("a_side is not canonical")
-    orig_a: set[int] = set()
-    orig_b: set[int] = set()
-    for v, cluster in enumerate(r.clusters):
-        if cluster and cluster[0] in a:
-            orig_a.add(v)
-        else:
-            orig_b.add(v)
-    return frozenset(orig_a), frozenset(orig_b)
+    owner, _, size = r._cluster_bounds
+    in_a = np.zeros(r.original_n, dtype=bool)
+    in_a[owner[_cluster_counts(r, _membership(r, a)) == size]] = True
+    return (frozenset(np.flatnonzero(in_a).tolist()),
+            frozenset(np.flatnonzero(~in_a).tolist()))

@@ -16,10 +16,12 @@ op until that call:
   checks are off at this size).  Its excess is stranded, so the gap
   heuristic fires;
 - ``decompose_planted``: the first matcher instance of the decomposition,
-  a relabel-only run: 30,123 of its 30,124 discharges end in a relabel and
-  one pushes (the op's three matcher runs push 3 times in 60,248
-  discharges).  An early level-cut check stops it at level 3.  No gap
-  fires, so it times the slot scans and the level bookkeeping of relabels.
+  16,003 sources on the 32,006-vertex reduced graph.  At least
+  ``PULSE_WIDTH`` of them hold excess, so it runs in 2 pulses and no
+  slot-by-slot discharge: the first relabels every source to level 1, the
+  second pushes 1 unit and relabels the other sources to level 2, and the
+  early level-cut check then stops it.  No gap fires, so it times the
+  array passes of a pulse.
 
 Two more benchmarks time a whole ``prune_batches`` op, its three
 ``expander_prune`` calls: one on a fresh copy of the graph each round, so
@@ -30,9 +32,11 @@ that allocate m-sized temporaries fault their pages in again and again.
 The standalone call above pays the set-up that ``expander_prune`` makes
 once per call.
 
-Every benchmark records in ``extra_info`` the solver's ``work``, ``gaps``
-and ``len(raised)`` after each push-relabel run of one untimed call, so
-that a change that alters the work the solver does shows up there.
+Every benchmark records in ``extra_info``, for each push-relabel run of
+one untimed call, its ``work``, ``gaps`` and ``len(raised)``, the number
+of pulses and the work done slot by slot after the handoff (all of it
+when the run never pulsed), so that a change that alters the work the
+solver does shows up there.
 """
 
 import resource
@@ -77,21 +81,24 @@ def _first_call(module, workload):
 
 def _record_runs(benchmark, op, *args, **kwargs):
     """``op(*args, **kwargs)``, run once and untimed; each push-relabel
-    run's work, gap count and |R| go in the benchmark's ``extra_info``."""
+    run's work, gap count, |R|, pulse count and work after the handoff go
+    in the benchmark's ``extra_info``."""
     runs = []
-    real = localflow._PushRelabel.run
+    real = localflow._run
 
-    def run(self, *a, **kw):
-        found = real(self, *a, **kw)
-        runs.append((self.work, self.gaps, len(self.raised)))
-        return found
+    def run(*a):
+        state, found = real(*a)
+        runs.append((state.work, state.gaps, len(state.raised), state.pulses,
+                     state.work - state.pulse_work))
+        return state, found
 
-    localflow._PushRelabel.run = run
+    localflow._run = run
     try:
         out = op(*args, **kwargs)
     finally:
-        localflow._PushRelabel.run = real
-    for key, values in zip(("work", "gaps", "raised"), zip(*runs)):
+        localflow._run = real
+    for key, values in zip(("work", "gaps", "raised", "pulses", "work_after_handoff"),
+                           zip(*runs)):
         benchmark.extra_info[key] = list(values)
     return out
 

@@ -334,7 +334,7 @@ def _bridged_blocks(size, degree, seed):
     return _two_copies_bridged(random_regularish_graph(size, degree, seed))
 
 
-@pytest.mark.parametrize("case", [
+_MAX_FLOW_CASES = [
     # (graph, A, B, z, psi, early check interval)
     ("regular", 100, 4, 1, 20, 30, 0, Fraction(1, 4), None),
     ("regular", 500, 3, 4, 100, 100, 5, Fraction(1, 2), 2000),
@@ -342,7 +342,10 @@ def _bridged_blocks(size, degree, seed):
     ("bridged", 150, 3, 5, 150, 150, 10, Fraction(1, 4), 5000),
     ("bridged", 100, 3, 7, 70, 70, 10, Fraction(1, 4), None),
     ("bridged", 120, 4, 2, 40, 60, 0, Fraction(1, 8), None),
-])
+]
+
+
+@pytest.mark.parametrize("case", _MAX_FLOW_CASES)
 def test_route_or_cut_1pair_against_networkx_max_flow(case):
     """A routing never beats the max flow from A to B under the per-edge
     cap ceil(4 Delta / psi), and a returned cut recounts to its delta."""
@@ -1095,3 +1098,212 @@ def test_expander_prune_trims_on_the_host_graph(monkeypatch):
     a, b = pruning.expander_prune(g, Fraction(1, 4), [g.m - 2, g.m - 1])
     assert b == {30, 31, 32, 33}
     assert calls == {"rounds": 2, "slots built": 1, "eu list built": 1}
+
+
+def _one_pass_corpus():
+    """The 240 instances of the one-pass discharge test, each with the
+    keywords it runs under: every fourth with an early level-cut check
+    after every unit of work."""
+    for seed in range(240):
+        if seed % 3 == 0:
+            inst = _multigraph_instance(seed)
+        elif seed % 3 == 1:
+            g, _, alive, source, sink, phi, capped = _masked_instance(seed)
+            inst = FlowInstance(g, source, sink, phi, check_degree_caps=capped,
+                                alive=alive)
+        else:
+            inst = _stranding_instance(("bridged", "disconnected", "trimming")[seed % 4 % 3],
+                                       seed)
+        yield inst, ({"early_cut_volume": 1, "check_interval": 1} if seed % 4 == 0 else {})
+
+
+def _assert_labels_valid(inst, pf):
+    """No live residual edge drops more than one level."""
+    g, cap = inst.g, inst.congestion_cap
+    level, flow = np.array(pf.level), np.array(pf.flow)
+    live = g.eu != g.ev
+    if inst.alive is not None:
+        live &= inst.alive
+    for tail, head, res in ((g.eu, g.ev, cap - flow), (g.ev, g.eu, cap + flow)):
+        assert not (live & (res > 0) & (level[tail] > level[head] + 1)).any()
+
+
+def _assert_flow_guarantees(inst, kw, pf, excess, cut):
+    pf.validate(inst)
+    _assert_labels_valid(inst, pf)
+    if cut is not None:
+        recount = cut_stats(inst.g, cut.side, inst.alive)
+        assert recount.conductance < inst.phi
+        need = kw.get("early_cut_volume") or (excess if inst.check_degree_caps else 0)
+        assert min(recount.vol_s, recount.vol_comp) >= need
+    elif inst.check_degree_caps:
+        assert excess == 0
+    if not kw:  # quiescent: all excess sits at the height cap
+        assert all(m <= s or lvl == inst.height_cap
+                   for m, s, lvl in zip(pf.mass, pf.sink, pf.level))
+    assert len(decompose_preflow(inst.g, pf, inst)) == sum(inst.source) - excess
+
+
+@pytest.fixture
+def pulse_counts(monkeypatch):
+    """Counts pulses and handoffs (with and without queued vertices)."""
+    seen = Counter()
+    pulse, load = localflow._Pulses.pulse, localflow._PushRelabel.load
+
+    def counting_pulse(self, active):
+        seen["pulses"] += 1
+        return pulse(self, active)
+
+    def counting_load(self, pulses, active):
+        seen["handoffs"] += 1
+        seen["handoffs with work left"] += bool(active.size)
+        return load(self, pulses, active)
+
+    monkeypatch.setattr(localflow._Pulses, "pulse", counting_pulse)
+    monkeypatch.setattr(localflow._PushRelabel, "load", counting_load)
+    return seen
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_pulses_keep_the_flow_guarantees(width, monkeypatch, pulse_counts):
+    # Pulses until fewer than ``width`` vertices hold excess, then slot by
+    # slot: the preflow stays valid with valid labels, every cut recounts
+    # below phi with the volume it must have, and no routed unit is lost.
+    monkeypatch.setattr(localflow, "PULSE_WIDTH", width)
+    seen = Counter()
+    for inst, kw in _one_pass_corpus():
+        pf, excess, cut = bounded_push_relabel(inst, **kw)
+        _assert_flow_guarantees(inst, kw, pf, excess, cut)
+        seen["cuts"] += cut is not None
+        seen["early stops"] += bool(kw) and cut is not None
+    test_random_instances_contract()
+    for case in _MAX_FLOW_CASES:
+        test_route_or_cut_1pair_against_networkx_max_flow(case)
+    assert seen["cuts"] >= 100 and seen["early stops"] >= 30, seen
+    assert pulse_counts["pulses"] >= 500, pulse_counts
+    if width > 1:
+        assert pulse_counts["handoffs with work left"] >= 40, pulse_counts
+
+
+def test_the_handoff_state_matches_a_rebuild(monkeypatch):
+    # Right after the handoff the slot-by-slot solver's bookkeeping must be
+    # what the levels and masses imply: the per-level counts, the buckets
+    # in level-then-id order, R and the top level; every pointer at its
+    # first slot, and the pulses' work carried over.
+    real = localflow._PushRelabel.run
+    checked = Counter()
+
+    def checking_run(self, early_check=None, check_interval=None, next_check=None):
+        if self.pulses:
+            level, mass, sink, h = self.level, self.mass, self.sink, self.h
+            below = [lvl for lvl in level if lvl < h]
+            assert self.count == [below.count(lvl) for lvl in range(max(below) + 1)]
+            buckets = {}
+            for v in range(len(level)):
+                if mass[v] > sink[v] and level[v] < h:
+                    buckets.setdefault(level[v], []).append(v)
+            assert {lvl: list(b) for lvl, b in self.buckets.items()} == buckets
+            assert self.level_heap == sorted(buckets)
+            assert list(self.queued) == [
+                int(any(v in b for b in buckets.values())) for v in range(len(level))]
+            assert self.raised == [v for v, lvl in enumerate(level) if lvl > 0]
+            assert self.max_level == max(level)
+            assert self.ptr == self.indptr[:-1]
+            assert self.work == self.pulse_work > 0
+            checked["handoffs"] += 1
+            checked["handoffs with work left"] += bool(buckets)
+            checked["gaps"] += self.gaps
+        return real(self, early_check, check_interval, next_check)
+
+    monkeypatch.setattr(localflow._PushRelabel, "run", checking_run)
+    for width in (2, 4, 8):
+        monkeypatch.setattr(localflow, "PULSE_WIDTH", width)
+        for inst, kw in _one_pass_corpus():
+            bounded_push_relabel(inst, **kw)
+    assert checked["handoffs with work left"] >= 80 and checked["gaps"] >= 50, checked
+
+
+def test_pulses_find_the_slot_by_slot_cut_on_a_planted_decomposition(monkeypatch,
+                                                                     pulse_counts):
+    # The first matcher instance of decomposing four planted 1,000-vertex
+    # expanders (the decompose_planted benchmark at seed 1): 16,003 sources
+    # on the 32,006-vertex reduced graph.  It ends after two pulses, where
+    # the early check returns the cut the slot-by-slot run returns.
+    from balcut.driver import expander_decomposition
+    from balcut.generators import planted_expander_union
+
+    g, _ = planted_expander_union([1000] * 4, 8, [(0, 1), (1, 2), (2, 3)], 1)
+    captured = []
+
+    def capture(inst, **kw):
+        captured.append((inst, kw))
+        raise InvalidInput("captured")
+
+    with monkeypatch.context() as m, pytest.raises(InvalidInput, match="captured"):
+        m.setattr(localflow, "bounded_push_relabel", capture)
+        expander_decomposition(g, Fraction(1, 2), 2)
+    inst, kw = captured[0]
+    assert len(inst._sources) == 16_003 >= localflow.PULSE_WIDTH
+    pf, excess, cut = bounded_push_relabel(inst, **kw)
+    assert pulse_counts == {"pulses": 2}
+    _assert_flow_guarantees(inst, kw, pf, excess, cut)
+    monkeypatch.setattr(localflow, "PULSE_WIDTH", inst.g.n + 1)
+    ref_pf, ref_excess, ref_cut = bounded_push_relabel(inst, **kw)
+    assert pulse_counts == {"pulses": 2}
+    assert (excess, cut) == (ref_excess, ref_cut)
+    assert len(cut.side) == 16_003
+
+
+def test_pulses_of_separate_walks_do_the_discharges_work(monkeypatch):
+    # While one vertex of a component holds excess, its pulses are the
+    # discharges of that vertex from its first slot.  A unit walking down
+    # a path or a cycle never returns to a vertex; a star's centre is the
+    # only vertex of its star that holds excess, and it either spreads its
+    # excess over its slots, saturating all but the last one it uses, or
+    # saturates them all and climbs to the cap.  So on each such instance,
+    # and on the disjoint union of those that leave no gap (one pulse then
+    # discharges several vertices), both runs must agree on the flows,
+    # levels, masses, gaps and the work that paces the early checks.
+    from balcut.generators import cycle_graph, star_graph
+
+    states = []
+    real = localflow._run
+
+    def capture(*args):
+        state, hit = real(*args)
+        states.append(state)
+        return state, hit
+
+    monkeypatch.setattr(localflow, "_run", capture)
+    parts = []  # (graph, source, sink), leaving no gap
+    for n in range(2, 9):
+        parts.append((MultiGraph(n, [(i, i + 1) for i in range(n - 1)]),
+                      [1] + [0] * (n - 1), [0] * (n - 1) + [1]))
+    for n in range(3, 9):
+        parts.append((cycle_graph(n), [1] + [0] * (n - 1),
+                      [0] * (n // 2) + [1] + [0] * (n - n // 2 - 1)))
+    for leaves in range(1, 6):
+        parts.append((star_graph(leaves), [4 * leaves - 2] + [0] * leaves,
+                      [0] + [7] * leaves))
+    offset, edges, source, sink = 0, [], [], []
+    for g, src, snk in parts:
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        source, sink, offset = source + src, sink + snk, offset + g.n
+    phi = Fraction(1)  # a congestion cap of 4
+    cases = [FlowInstance(g, src, snk, phi, check_degree_caps=False)
+             for g, src, snk in parts]
+    cases.append(FlowInstance(MultiGraph(offset, edges), source, sink, phi,
+                              check_degree_caps=False))
+    for leaves in range(1, 6):
+        cases.append(FlowInstance(star_graph(leaves), [4 * leaves + 3] + [0] * leaves,
+                                  [0] + [7] * leaves, phi, check_degree_caps=False))
+    for inst in cases:
+        runs = []
+        for width in (1, inst.g.n + 1):
+            monkeypatch.setattr(localflow, "PULSE_WIDTH", width)
+            pf, excess, cut = bounded_push_relabel(inst)
+            state = states[-1]
+            runs.append((pf.flow, pf.level, pf.mass, excess, state.work, state.gaps))
+        assert runs[0] == runs[1]
+        assert states[-2].pulses > 0 == states[-1].pulses
+    assert states[-1].gaps == 1  # the last star climbs to the cap

@@ -200,3 +200,74 @@ def test_make_canonical_rejects_non_canonical_host():
     host = [u for u in range(r.hat_g.n) if u != r.clusters[0][0]]
     with pytest.raises(InvalidInput):
         make_canonical(r, host, host[:2], host[2:])
+
+
+def _make_canonical_reference(r, host, a_side, b_side):
+    """``make_canonical``'s resolution as a walk over every cluster."""
+    host_set, a, b = set(host), set(a_side), set(b_side)
+    for cluster in r.clusters:
+        if not cluster or cluster[0] not in host_set:
+            continue
+        in_a = [u for u in cluster if u in a]
+        if 0 < len(in_a) < len(cluster):
+            in_b = [u for u in cluster if u in b]
+            if len(in_a) >= len(in_b):
+                a.update(in_b)
+                b.difference_update(in_b)
+            else:
+                b.update(in_a)
+                a.difference_update(in_a)
+    return frozenset(a), frozenset(b)
+
+
+def _project_cut_reference(r, a_side):
+    """``project_cut``'s mapping as a walk over every cluster."""
+    a = set(a_side)
+    orig_a, orig_b = set(), set()
+    for v, cluster in enumerate(r.clusters):
+        if cluster and cluster[0] in a:
+            orig_a.add(v)
+        else:
+            orig_b.add(v)
+    return frozenset(orig_a), frozenset(orig_b)
+
+
+def test_make_canonical_and_project_cut_match_the_set_loops():
+    # Random multigraphs with isolated vertices (empty clusters); hosts
+    # that are canonical unions of clusters plus ids outside V(hat_g),
+    # split by random sides that cut clusters, tie some of them exactly,
+    # and leave others whole.
+    rng = random.Random(11)
+    seen = Counter()
+    outside = [-3, -1, 10**12]
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 2 * n))]
+        r = reduce_degree(MultiGraph(n, edges))
+        n_hat = r.hat_g.n
+        seen["empty clusters"] += sum(not c for c in r.clusters)
+        for _ in range(6):
+            host = set(lift_cut(r, [v for v in range(n) if rng.random() < 0.7]))
+            host |= set(rng.sample(outside + [n_hat, n_hat + 5], rng.randint(0, 2)))
+            a = {u for u in host if rng.random() < 0.5}
+            for v in range(n):  # some clusters split exactly in half
+                cluster = r.clusters[v]
+                if len(cluster) % 2 == 0 and cluster and cluster[0] in host \
+                        and rng.random() < 0.3:
+                    a -= set(cluster)
+                    a |= set(rng.sample(list(cluster), len(cluster) // 2))
+                    seen["ties"] += 1
+            b = host - a
+            want = _make_canonical_reference(r, host, a, b)
+            got = make_canonical(r, sorted(host), a, b)
+            assert got == want
+            seen["moved"] += got[0] != frozenset(a)
+            # project a canonical partition of V(hat_g); ids outside it on
+            # the A side stand in for the vertices B leaves out
+            a_can = set(lift_cut(r, [v for v in range(n) if rng.random() < 0.5]))
+            b_can = set(range(n_hat)) - a_can
+            stray = rng.sample(outside, rng.randint(0, min(2, len(b_can))))
+            b_can -= set(rng.sample(sorted(b_can), len(stray)))
+            a_can |= set(stray)
+            assert project_cut(r, a_can, b_can) == _project_cut_reference(r, a_can)
+    assert seen["empty clusters"] >= 50 and seen["ties"] >= 50 and seen["moved"] >= 100, seen
