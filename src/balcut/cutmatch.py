@@ -49,11 +49,12 @@ from .graph import (
     MultiGraph,
     ORACLE_LIMIT,
     _distinct,
+    _index_array,
     brute_force_extremum,
-    connected_components,
+    component_labels,
     cut_edge_count,
     find_bridges,
-    induced_subgraph,
+    masked_subgraph,
     path_congestion,
     subtree_side,
     with_edges,
@@ -199,32 +200,21 @@ def cut_or_certify(g: MultiGraph, r: int) -> BalancedCutMove | CertifiedSubset:
         )
     quarter = -(-n // 4)
     budget = max(1, n // 100)
-    acc: set[int] = set()
-    current = sorted(range(n))
+    acc = np.zeros(n, dtype=bool)  # the peeled vertices
     edges_cut = 0
     guard = 0
-    while len(acc) < quarter:
+    while (taken := int(np.count_nonzero(acc))) < quarter:
         guard += 1
         if guard > n + 2:
             raise InternalInvariantBroken("cut player peel loop did not progress")
-        cur_g, idx = induced_subgraph(g, current)
-        comps = connected_components(cur_g)
-        if len(comps) > 1:
-            took = _peel_components(comps, len(acc), quarter, n)
-            if took is None:
-                # A giant component holds > 3n/4 vertices: peel all the small
-                # components (< n/4 total) and continue on the giant.
-                small = sorted(comps, key=len)[:-1]
-                for comp in small:
-                    acc.update(idx[v] for v in comp)
-            else:
-                acc.update(idx[v] for v in took)
-            current = sorted(set(range(n)) - acc)
+        cur_g, idx = masked_subgraph(g, ~acc)
+        k, label = component_labels(cur_g)
+        if k > 1:
+            acc[idx[_peel_components(label, k, taken, quarter, n)]] = True
             continue
-        step = _expander_step(cur_g, r, budget - edges_cut,
-                              quarter - len(acc))
+        step = _expander_step(cur_g, r, budget - edges_cut, quarter - taken)
         if isinstance(step, CertifiedSubset):
-            side = frozenset(idx[v] for v in step.side)
+            side = frozenset(idx[_index_array(step.side)].tolist())
             if 2 * len(side) < n:
                 raise InternalInvariantBroken("certificate side below n/2")
             return CertifiedSubset(side, step.psi, step.detail)
@@ -238,43 +228,44 @@ def cut_or_certify(g: MultiGraph, r: int) -> BalancedCutMove | CertifiedSubset:
                     "connected graph measured non-expanding at fallback"
                 )
             return CertifiedSubset(
-                frozenset(current), psi, "fallback-measured"
+                frozenset(idx.tolist()), psi, "fallback-measured"
             )
         x_local, delta = step
-        acc.update(idx[v] for v in x_local)
+        acc[idx[_index_array(x_local)]] = True
         edges_cut += delta
-        current = sorted(set(range(n)) - acc)
-    b_side = frozenset(range(n)) - acc
-    crossing = cut_edge_count(g, acc)
-    if len(acc) < quarter or len(b_side) < quarter:
+    a_ids = np.flatnonzero(acc)
+    a_side = frozenset(a_ids.tolist())
+    b_side = frozenset(np.flatnonzero(~acc).tolist())
+    crossing = cut_edge_count(g, a_ids)
+    if len(a_side) < quarter or len(b_side) < quarter:
         raise InternalInvariantBroken("balanced cut sides below n/4")
     if crossing > budget:
         raise InternalInvariantBroken(
             f"balanced cut crossing {crossing} above budget {budget}"
         )
-    return BalancedCutMove(frozenset(acc), b_side, crossing)
+    return BalancedCutMove(a_side, b_side, crossing)
 
 
-def _peel_components(comps, acc_size, quarter, n):
+def _peel_components(label, k, acc_size, quarter, n):
     """Batch smallest components, never letting the peel pass 3n/4.
 
-    ``comps`` come ordered by first vertex, so the stable sort by size
-    breaks ties by first vertex."""
-    by_size = sorted(comps, key=len)
-    largest = by_size[-1]
-    if 4 * len(largest) > 3 * n:
-        return None  # giant component; caller peels the rest and recurses
-    remainder = sum(len(c) for c in comps)
-    took: list[int] = []
-    total = acc_size
-    for comp in by_size:
-        if total >= quarter:
-            break
-        if len(took) + len(comp) == remainder:
-            break  # never consume the whole remainder
-        took.extend(comp)
-        total += len(comp)
-    return took
+    ``label`` numbers the k components of the remainder by first vertex,
+    so a stable sort of their sizes breaks ties by first vertex.  Returns
+    the mask of the remainder's vertices to peel: all but a giant component
+    (over 3n/4; the caller recurses on it), else the shortest prefix of
+    that order that lifts the peel to ``quarter``.  Without a giant, the
+    components before the largest hold at least ``quarter - acc_size``, so
+    the prefix never takes the whole remainder."""
+    size = np.bincount(label, minlength=k)
+    order = np.argsort(size, kind="stable")
+    if 4 * int(size[order[-1]]) > 3 * n:
+        took = order[:-1]
+    else:
+        reach = np.cumsum(size[order])
+        took = order[:1 + int(np.searchsorted(reach, quarter - acc_size))]
+    peel = np.zeros(k, dtype=bool)
+    peel[took] = True
+    return peel[label]
 
 
 def _expander_step(cur_g, r, budget_left, still_needed):

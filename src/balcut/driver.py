@@ -34,17 +34,29 @@ from .graph import (
     Cut,
     MultiGraph,
     ORACLE_LIMIT,
+    _index_array,
+    _side_mask,
     brute_force_extremum,
+    component_labels,
     connected_components,
     cut_edge_count,
     cut_stats,
     induced_subgraph,
+    is_connected,
+    masked_subgraph,
     threshold_cut_counts,
     with_edges,
 )
 from .localflow import PairRouting, route_or_cut_1pair
 from .pruning import expander_prune
-from .reduce import lift_cut, make_canonical, project_cut, reduce_degree
+from .reduce import (
+    _majority_side,
+    _project_mask,
+    lift_cut,
+    make_canonical,
+    project_cut,
+    reduce_degree,
+)
 from .routing import log2ceil
 from .spectral import certified_floor, cheeger_floor
 
@@ -151,8 +163,6 @@ def _balanced_from_components(
     g: MultiGraph, comps: list[list[int]]
 ) -> BalCutPruneResult | None:
     """Zero-edge balanced cut assembled from whole components, if possible."""
-    if len(comps) < 2:
-        return None
     total = g.volume()
     comps = sorted(comps, key=lambda c: (g.volume(c), c[0]))
     acc: set[int] = set()
@@ -188,15 +198,14 @@ def bal_cut_prune(g: MultiGraph, phi, r: int) -> BalCutPruneResult:
     g.reject_self_loops("bal_cut_prune")
     if g.m < 1:
         raise InvalidInput("bal_cut_prune needs at least one edge")
-    vol = g.volume()
     report: dict = {"phi": str(phi), "r": r, "notes": []}
 
-    comps = connected_components(g)
-    comp_cut = _balanced_from_components(g, comps)
-    if comp_cut is not None:
-        comp_cut.report.update(phi=str(phi), r=r, alpha="0")
-        return comp_cut
-    if len(comps) > 1:
+    if not is_connected(g):
+        comps = connected_components(g)
+        comp_cut = _balanced_from_components(g, comps)
+        if comp_cut is not None:
+            comp_cut.report.update(phi=str(phi), r=r, alpha="0")
+            return comp_cut
         # No balanced component assembly exists: one giant component holds
         # over 2/3 of the volume.  Process it; the crumbs join side B.
         giant = max(comps, key=lambda c: (g.volume(c), c[0]))
@@ -204,7 +213,6 @@ def bal_cut_prune(g: MultiGraph, phi, r: int) -> BalCutPruneResult:
         inner = bal_cut_prune(sub, phi, r)
         a = frozenset(idx[v] for v in inner.a_side)
         b = frozenset(range(g.n)) - a
-        cut_edges = cut_edge_count(g, a)
         report = dict(inner.report)
         report["notes"] = list(report.get("notes", [])) + [
             "disconnected input: processed the giant component"
@@ -230,38 +238,35 @@ def bal_cut_prune(g: MultiGraph, phi, r: int) -> BalCutPruneResult:
     report["psi"] = str(psi)
     report["z"] = z
 
-    acc: set[int] = set()
+    acc = np.zeros(big_n, dtype=bool)  # the peeled hat vertices
     corrections = 0
     rounds_total = 0
     third = -(-big_n // 3)
     guard = 0
-    while len(acc) < third:
+    while np.count_nonzero(acc) < third:
         guard += 1
         if guard > big_n + 2:
             raise InternalInvariantBroken("bal_cut_prune peel loop stalled")
-        members = sorted(set(range(big_n)) - acc)
-        sub, idx = induced_subgraph(hat, members)
-        sub_comps = connected_components(sub)
-        if len(sub_comps) > 1:
-            # peel the smallest component (always canonical: cluster graphs
-            # are connected, so components never split clusters)
-            smallest = min(sub_comps, key=len)  # ties: the lowest first vertex
-            if 2 * len(smallest) > len(members):
-                smallest = [v for v in range(sub.n) if v not in set(smallest)]
-            acc.update(idx[v] for v in smallest)
+        sub, members = masked_subgraph(hat, ~acc)
+        k, label = component_labels(sub)
+        if k > 1:
+            # peel the smallest component, the lowest first vertex on ties
+            # (always canonical: cluster graphs are connected, so
+            # components never split clusters)
+            acc[members[label == int(np.argmin(np.bincount(label)))]] = True
             continue
         outcome = iterations_final_cut(sub, psi, z, r)
         if isinstance(outcome, Cut):
-            x_glob = {idx[v] for v in outcome.side}
-            y_glob = set(members) - x_glob
-            x_can, y_can = make_canonical(red, members, x_glob, y_glob)
-            small = min((x_can, y_can), key=len)
-            if not small:
+            in_x = _side_mask(big_n, members[_index_array(outcome.side)])
+            x_can = _majority_side(red, ~acc, in_x)
+            y_can = ~acc & ~x_can
+            small = min(x_can, y_can, key=np.count_nonzero)  # ties: x_can
+            if not small.any():
                 report["notes"].append("canonicalization emptied a side")
                 if g.n <= ORACLE_LIMIT:
                     return _oracle_drive(g, phi, report)
                 break
-            acc.update(small)
+            acc |= small
             continue
         # witness branch: contract back, prune the fake edges
         rounds_total += outcome.rounds
@@ -271,7 +276,7 @@ def bal_cut_prune(g: MultiGraph, phi, r: int) -> BalCutPruneResult:
             if mode == "done":
                 return payload
             if mode == "peel":
-                acc.update(payload)
+                acc[_index_array(payload)] = True
                 corrections += 1
                 report["corrections"] = corrections
                 continue
@@ -280,8 +285,7 @@ def bal_cut_prune(g: MultiGraph, phi, r: int) -> BalCutPruneResult:
             return _oracle_drive(g, phi, report)
         break
 
-    a_can = frozenset(range(big_n)) - acc
-    orig_a, orig_b = project_cut(red, a_can, frozenset(acc))
+    orig_a, orig_b = _project_mask(red, ~acc)
     report["rounds"] = rounds_total
     report["corrections"] = corrections
     return _finish(g, orig_a, orig_b, phi, None, report)
@@ -659,8 +663,8 @@ def sparsest_cut(g: MultiGraph, r: int = 1) -> ApproxCutResult:
     """Geometric search over sparse_cut_or_expander plus a certified floor."""
     if g.n < 2:
         raise InvalidInput("need at least two vertices")
-    comps = connected_components(g)
-    if len(comps) > 1:
+    if not is_connected(g):
+        comps = connected_components(g)
         side = min(comps, key=len)
         cut = cut_stats(g, side)
         return ApproxCutResult(cut, cut.sparsity, Fraction(0), 1.0,
@@ -709,8 +713,8 @@ def lowest_conductance_cut(g: MultiGraph, r: int = 1) -> ApproxCutResult:
     """Sparsest cut of the degree-reduced graph, canonicalized and projected."""
     if g.m < 1:
         raise InvalidInput("need at least one edge")
-    comps = connected_components(g)
-    if len(comps) > 1:
+    if not is_connected(g):
+        comps = connected_components(g)
         side = min(comps, key=lambda c: (g.volume(c), c[0]))
         cut = cut_stats(g, side)
         return ApproxCutResult(cut, cut.conductance, Fraction(0), 1.0,

@@ -287,13 +287,15 @@ def cut_stats(g: MultiGraph, s: Iterable[int], alive: np.ndarray | None = None) 
     When one side holds at most a quarter of g's volume, the counts read
     that side's slots: each crossing edge has one slot there, so a small
     side (a trimming cut) costs O(vol), not O(m).  Otherwise one pass over
-    the edge endpoints is the cheaper count (a balanced cut)."""
-    side = frozenset(int(v) for v in s)
+    the edge endpoints is the cheaper count (a balanced cut).  A frozenset
+    side is kept as the cut's side; any other is read once into an array."""
+    ids = _index_array(s)
+    side = s if isinstance(s, frozenset) else frozenset(ids.tolist())
     if not side or len(side) >= g.n:
         raise InvalidCut(f"cut side must be proper: |S|={len(side)}, n={g.n}")
-    if any(v < 0 or v >= g.n for v in side):
+    if ids.min() < 0 or ids.max() >= g.n:
         raise InvalidCut("cut side contains an out-of-range vertex")
-    mask = _side_mask(g.n, side)
+    mask = _side_mask(g.n, ids)
     total = 2 * (g.m if alive is None else int(np.count_nonzero(alive)))
     host_vol, host_total = int(g.deg[mask].sum()), g.volume()
     small = mask if 2 * host_vol <= host_total else ~mask
@@ -340,6 +342,8 @@ def masked_subgraph(
     mask.  Kept vertices are relabeled in ascending order (the index map
     lists their original ids) and kept edges stay in edge-id order.
     """
+    if keep.all() and (alive is None or alive.all()):
+        return g, np.arange(g.n)  # g is immutable: nothing to copy
     new_id = np.cumsum(keep) - 1
     sel = keep[g.eu] & keep[g.ev]
     if alive is not None:
@@ -384,38 +388,36 @@ def incidence_csr(g: MultiGraph) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(len(g.nbr)), g.nbr, g.indptr), shape=(g.n, g.n))
 
 
-def _component_labels(g: MultiGraph) -> tuple[int, np.ndarray]:
-    """(component count, per-vertex component label) via scipy."""
+def component_labels(g: MultiGraph) -> tuple[int, np.ndarray]:
+    """(k, label): the component count and each vertex's component, numbered
+    so that component i holds the i-th smallest minimum vertex (the order
+    of ``connected_components``).  An edgeless graph and a connected one
+    cost O(1) Python past scipy's labelling."""
+    if g.m == 0:
+        return g.n, np.arange(g.n)
     # Imported on first use: csgraph pulls in scipy.sparse.linalg.
     from scipy.sparse.csgraph import connected_components as labels
 
-    return labels(incidence_csr(g), directed=False)
+    k, label = labels(incidence_csr(g), directed=False)
+    if k == 1:
+        return 1, label
+    _, first = np.unique(label, return_index=True)
+    rank = np.empty(k, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(k)
+    return k, rank[label]
 
 
 def connected_components(g: MultiGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by minimum vertex."""
-    if g.n == 0:
-        return []
-    k, labels = _component_labels(g)
-    # Relabel canonically: component i holds the i-th smallest minimum vertex.
-    _, first = np.unique(labels, return_index=True)
-    rank = np.empty(k, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(k)
-    canon = rank[labels]
-    flat = np.argsort(canon, kind="stable").tolist()
-    comps = []
-    lo = 0
-    for hi in np.cumsum(np.bincount(canon, minlength=k)).tolist():
-        comps.append(flat[lo:hi])
-        lo = hi
-    return comps
+    k, label = component_labels(g)
+    flat = np.argsort(label, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(label, minlength=k)).tolist()
+    return [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 def is_connected(g: MultiGraph) -> bool:
     """True iff the graph has a single connected component."""
-    if g.n <= 1:
-        return True
-    return _component_labels(g)[0] == 1
+    return g.n <= 1 or component_labels(g)[0] == 1
 
 
 def bfs_levels(g: MultiGraph, sources: Sequence[int], depth_cap: int | None = None,

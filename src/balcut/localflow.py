@@ -75,7 +75,8 @@ its run: posing the next instance resets its lists over the last run's
 footprint, so the trimming rounds of one ``expander_prune`` call share one
 set-up and each costs about its footprint in Python, not m.  When Vol(R)
 exceeds m/2 the preflow recount reads every edge instead, which is
-cheaper there.
+cheaper there; so does a run that ended in pulses, whose flows, levels
+and masses stay int64 arrays.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ from .graph import (
     Cut,
     MultiGraph,
     _distinct,
+    _index_array,
     _integer_array,
     cut_stats,
     incident_slots,
@@ -197,11 +199,14 @@ class FlowInstance:
 
 @dataclass
 class Preflow:
-    """An integral preflow: signed edge flows, levels, per-vertex mass."""
+    """An integral preflow: signed edge flows, levels, per-vertex mass.
 
-    flow: list[int]
-    level: list[int]
-    mass: list[int]
+    They are the solver's lists, or int64 arrays when the run ended in
+    pulses; either reads by index."""
+
+    flow: Sequence[int]
+    level: Sequence[int]
+    mass: Sequence[int]
     source: np.ndarray
     sink: np.ndarray
 
@@ -236,13 +241,14 @@ class Preflow:
         """The total excess when the recount over R's edges proves the
         preflow valid, else None.  A larger R makes the full recount the
         cheaper one: gathering flow from a list costs more per edge than
-        converting all of it."""
+        converting all of it.  Arrays from a pulse phase are recounted in
+        full, at numpy speed."""
         g, flow, mass = inst.g, self.flow, self.mass
         if raised is None:
             raised = np.flatnonzero(_int_array(self.level))
         else:
             raised = np.array(raised, dtype=np.int64)
-        if 2 * int(g.deg[raised].sum()) > len(flow):
+        if isinstance(flow, np.ndarray) or 2 * int(g.deg[raised].sum()) > len(flow):
             return None
         slot, _ = incident_slots(g, raised)
         eids = _distinct(g.inc[slot])
@@ -296,7 +302,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _int_array(values: Sequence[int]) -> np.ndarray:
-    """An int64 array of a list of ints; faster than ``np.asarray``."""
+    """An int64 array of a list of ints (faster than ``np.asarray``), or
+    the int64 array itself."""
+    if isinstance(values, np.ndarray):
+        return values
     return np.fromiter(values, np.int64, len(values))
 
 
@@ -693,10 +702,9 @@ class _Pulses:
     def pulse_work(self) -> int:
         return self.work
 
-    def final(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """The run's flows, levels, masses and R, as lists."""
-        return (self.flow.tolist(), self.level.tolist(), self.mass.tolist(),
-                self.raised.tolist())
+    def final(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The run's flows, levels, masses and R, as the arrays they are."""
+        return self.flow, self.level, self.mass, self.raised
 
     def active(self) -> np.ndarray:
         """The vertices holding excess below the cap, ascending."""
@@ -860,7 +868,9 @@ def bounded_push_relabel(
                       check_interval if early_cut_volume is not None else None,
                       _solver)
     flow, level, mass, raised = state.final()
-    if len(level) - level.count(0) != len(raised):
+    recorded = (np.count_nonzero(level) if isinstance(level, np.ndarray)
+                else len(level) - level.count(0))
+    if recorded != len(raised):
         raise InternalInvariantBroken("a vertex left level 0 unrecorded")
     pf = Preflow(flow, level, mass, inst.source_array, inst.sink_array)
     excess = pf._checked_excess(inst, raised)
@@ -904,8 +914,8 @@ def decompose_preflow(g: MultiGraph, pf: Preflow, inst: FlowInstance) -> list[li
     is emitted); flow cycles encountered along a walk are erased in place.
     Runs in O(total flow + m).
     """
-    rem = [abs(f) for f in pf.flow]
-    flow = np.array(pf.flow, dtype=np.int64)
+    flow = _int_array(pf.flow)
+    rem = np.abs(flow).tolist()
     tail = np.where(flow > 0, g.eu, g.ev)
     head = (g.eu + g.ev - tail).tolist()
     out_arcs: list[list[int]] = [[] for _ in range(g.n)]
@@ -986,9 +996,9 @@ def route_or_cut_1pair(
     at most ceil(4*Delta/psi), or a cut (X, Y) with Psi <= psi and
     |X|, |Y| >= z / Delta, both recounted exactly.
     """
-    a = sorted(set(a_side))
-    b = sorted(set(b_side))
-    if not a or set(a) & set(b):
+    a = _distinct(_index_array(a_side))
+    b = _distinct(_index_array(b_side))
+    if not a.size or np.intersect1d(a, b, assume_unique=True).size:
         raise InvalidInput("terminal sets must be disjoint and A nonempty")
     if len(a) > len(b):
         raise InvalidInput("need |A| <= |B|")

@@ -152,23 +152,27 @@ def make_canonical(
     b = set(b_side)
     if a & b or (a | b) != host_set:
         raise InvalidInput("a_side/b_side must partition the host set")
-    if not is_canonical(r, host_set):
-        raise InvalidInput("host vertex set is not canonical")
-    # A cluster that A splits lies inside the canonical host, so its B part
-    # is the rest of it.
-    _, _, size = r._cluster_bounds
     in_a = _membership(r, a)
-    inside = _cluster_counts(r, in_a)
-    split = (inside > 0) & (inside < size)
-    to_a = np.repeat(split & (2 * inside >= size), size)  # ties go to A
-    to_b = np.repeat(split, size) & ~to_a
+    to_a = _majority_side(r, _membership(r, host_set), in_a)
     gain = np.flatnonzero(to_a & ~in_a).tolist()
-    loss = np.flatnonzero(to_b & in_a).tolist()
+    loss = np.flatnonzero(in_a & ~to_a).tolist()
     a.update(gain)
     a.difference_update(loss)
     b.update(loss)
     b.difference_update(gain)
     return frozenset(a), frozenset(b)
+
+
+def _majority_side(r: ReducedGraph, host: np.ndarray, in_a: np.ndarray) -> np.ndarray:
+    """``make_canonical``'s new A on boolean masks over V(hat_g).  A
+    cluster that ``in_a`` splits lies in the canonical ``host``, so its B
+    part is the rest of it; it goes wholly to its majority, ties to A."""
+    if not is_canonical(r, np.flatnonzero(host)):
+        raise InvalidInput("host vertex set is not canonical")
+    _, _, size = r._cluster_bounds
+    inside = _cluster_counts(r, in_a)
+    split = (inside > 0) & (inside < size)
+    return np.where(np.repeat(split, size), np.repeat(2 * inside >= size, size), in_a)
 
 
 def canonical_blowup_constant(r: ReducedGraph) -> Fraction:
@@ -195,10 +199,15 @@ def project_cut(
     b = set(b_side)
     if a & b or len(a) + len(b) != r.hat_g.n:
         raise InvalidInput("canonical sides must partition V(hat_g)")
-    if not is_canonical(r, a):
+    return _project_mask(r, _membership(r, a))
+
+
+def _project_mask(r: ReducedGraph, in_a: np.ndarray) -> tuple[frozenset[int], frozenset[int]]:
+    """``project_cut`` of the partition (in_a, ~in_a) of V(hat_g)."""
+    if not is_canonical(r, np.flatnonzero(in_a)):
         raise InvalidInput("a_side is not canonical")
     owner, _, size = r._cluster_bounds
-    in_a = np.zeros(r.original_n, dtype=bool)
-    in_a[owner[_cluster_counts(r, _membership(r, a)) == size]] = True
-    return (frozenset(np.flatnonzero(in_a).tolist()),
-            frozenset(np.flatnonzero(~in_a).tolist()))
+    orig_a = np.zeros(r.original_n, dtype=bool)
+    orig_a[owner[_cluster_counts(r, in_a) == size]] = True
+    return (frozenset(np.flatnonzero(orig_a).tolist()),
+            frozenset(np.flatnonzero(~orig_a).tolist()))

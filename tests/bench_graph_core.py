@@ -7,14 +7,22 @@ Not collected by the default ``test_*.py`` pattern; run them with
 The graph is ``random_regularish_graph(20000, 16, seed=1)`` (m = 160 000),
 the input of the ``prune_batches`` benchmark workload; the two generator
 benchmarks build that graph and ``construct_expander(40000)``, the base of
-the ``certify_expander`` workload.
+the ``certify_expander`` workload.  The cut player's peel runs on an
+edgeless 32,006-vertex graph, the round-0 witness of the first game of
+the ``decompose_planted`` workload.
 """
 
 import pytest
 
 from balcut.expanders import construct_expander
 from balcut.generators import random_regularish_graph
-from balcut.graph import MultiGraph, connected_components, induced_subgraph
+from balcut.cutmatch import BalancedCutMove, cut_or_certify
+from balcut.graph import (
+    MultiGraph,
+    component_labels,
+    connected_components,
+    induced_subgraph,
+)
 from balcut.reduce import reduce_degree
 
 
@@ -38,6 +46,17 @@ def test_induced_subgraph(benchmark, graph):
 def test_connected_components(benchmark, graph):
     comps = benchmark(connected_components, graph)
     assert sum(len(c) for c in comps) == graph.n
+
+
+def test_component_labels(benchmark, graph):
+    k, label = benchmark(component_labels, graph)
+    assert len(label) == graph.n and k >= 1
+
+
+def test_cut_or_certify_edgeless_witness(benchmark):
+    witness = MultiGraph(32006, [])
+    move = benchmark(cut_or_certify, witness, 2)
+    assert isinstance(move, BalancedCutMove) and len(move.a_side) == 8002
 
 
 def test_reduce_degree(benchmark, graph):

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from balcut import cutmatch
@@ -23,7 +24,14 @@ from balcut.errors import (
 )
 from balcut.expanders import construct_expander
 from balcut.generators import random_regularish_graph
-from balcut.graph import MultiGraph, cut_edge_count, graph_sparsity
+from balcut.graph import (
+    MultiGraph,
+    connected_components,
+    cut_edge_count,
+    graph_sparsity,
+    induced_subgraph,
+)
+from balcut.spectral import certified_floor
 
 
 def union_of_matchings(n, k, seed):
@@ -260,3 +268,172 @@ def test_walk_potential_guards():
         walk_potential([], 1024)
     with pytest.raises(InvalidInput):
         walk_potential([[(0, 1), (1, 2)]], 4)  # vertex 1 matched twice
+
+
+# ---------------------------------------------------------------------------
+# The component peel on arrays against the set-based peel it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_peel_components(comps, acc_size, quarter, n):
+    """Batch smallest components, never letting the peel pass 3n/4."""
+    by_size = sorted(comps, key=len)
+    largest = by_size[-1]
+    if 4 * len(largest) > 3 * n:
+        return None  # giant component; caller peels the rest and recurses
+    remainder = sum(len(c) for c in comps)
+    took = []
+    total = acc_size
+    for comp in by_size:
+        if total >= quarter:
+            break
+        if len(took) + len(comp) == remainder:
+            break  # never consume the whole remainder
+        took.extend(comp)
+        total += len(comp)
+    return took
+
+
+def _reference_cut_or_certify(g, r):
+    """cut_or_certify's peel over Python sets and component lists."""
+    n = g.n
+    if n <= 2:
+        return CertifiedSubset(
+            frozenset(range(n)), certified_floor(g, "sparsity"), "trivial"
+        )
+    quarter = -(-n // 4)
+    budget = max(1, n // 100)
+    acc = set()
+    current = sorted(range(n))
+    edges_cut = 0
+    while len(acc) < quarter:
+        cur_g, idx = induced_subgraph(g, current)
+        comps = connected_components(cur_g)
+        if len(comps) > 1:
+            took = _reference_peel_components(comps, len(acc), quarter, n)
+            if took is None:
+                for comp in sorted(comps, key=len)[:-1]:
+                    acc.update(idx[v] for v in comp)
+            else:
+                acc.update(idx[v] for v in took)
+            current = sorted(set(range(n)) - acc)
+            continue
+        step = cutmatch._expander_step(cur_g, r, budget - edges_cut,
+                                       quarter - len(acc))
+        if isinstance(step, CertifiedSubset):
+            side = frozenset(idx[v] for v in step.side)
+            return CertifiedSubset(side, step.psi, step.detail)
+        if step is None:
+            return CertifiedSubset(
+                frozenset(current), certified_floor(cur_g, "sparsity"),
+                "fallback-measured",
+            )
+        x_local, delta = step
+        acc.update(idx[v] for v in x_local)
+        edges_cut += delta
+        current = sorted(set(range(n)) - acc)
+    return BalancedCutMove(frozenset(acc), frozenset(range(n)) - acc,
+                           cut_edge_count(g, acc))
+
+
+def components_graph(sizes, seed):
+    """Components of the given sizes on shuffled vertex ids: each a random
+    tree plus random extra edges, parallel copies among them."""
+    rng = random.Random(seed)
+    n = sum(sizes)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = []
+    at = 0
+    for size in sizes:
+        verts = perm[at:at + size]
+        at += size
+        for i in range(1, size):
+            edges.append((verts[rng.randrange(i)], verts[i]))
+        for _ in range(rng.randrange(size)):
+            u, v = rng.sample(verts, 2)
+            edges += [(u, v)] * rng.choice((1, 1, 2))
+    rng.shuffle(edges)
+    return MultiGraph(n, edges)
+
+
+# (component sizes, what the case exercises)
+PEEL_CASES = [
+    ([1] * 3, "edgeless, trivial below four vertices"),
+    ([1] * 5, "edgeless"),
+    ([1] * 40, "edgeless"),
+    ([1] * 4 + [9, 2], "isolated vertices"),
+    ([30, 2, 1, 1, 3], "giant component over 3n/4"),
+    ([13, 1, 1, 1], "giant component with singletons"),
+    ([12, 1, 1, 1, 1], "exactly 3n/4: not giant"),
+    ([3] * 8, "ties in size"),
+    ([2] * 6 + [5, 5], "ties in size"),
+    ([2, 2, 12], "peel lands exactly on the quarter"),
+    ([1, 3, 6, 6], "peel lands exactly on the quarter"),
+    ([4, 4, 4, 4], "quarter reached by the first component"),
+    ([20, 20], "two halves"),
+    ([17, 3], "a connected remainder left for the expander step"),
+    ([40], "connected"),
+]
+
+
+@pytest.mark.parametrize("sizes,_what", PEEL_CASES)
+def test_array_peel_matches_the_set_peel(sizes, _what):
+    for seed in range(4):
+        g = components_graph(sizes, seed)
+        for r in (1, 2):
+            assert cut_or_certify(g, r) == _reference_cut_or_certify(g, r), (sizes, seed)
+
+
+def test_array_peel_matches_the_set_peel_on_random_profiles():
+    rng = random.Random(7)
+    for case in range(60):
+        n = rng.randrange(3, 48)
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(rng.choice((1, 1, 2, 3, rng.randrange(1, n + 1))))
+        sizes[-1] -= sum(sizes) - n
+        sizes = [s for s in sizes if s]
+        g = components_graph(sizes, case)
+        assert cut_or_certify(g, 1) == _reference_cut_or_certify(g, 1), sizes
+
+
+def test_peel_components_matches_the_list_peel_after_earlier_peels():
+    # The remainder left after acc_size vertices were peeled, split into
+    # components in shuffled vertex order.
+    rng = random.Random(3)
+    for case in range(600):
+        sizes = [rng.choice((1, 1, 2, 3, rng.randrange(1, 40)))
+                 for _ in range(rng.randrange(2, 9))]
+        rem = sum(sizes)
+        acc_size = rng.randrange(-(-rem // 3))
+        n = rem + acc_size
+        quarter = -(-n // 4)
+        assert acc_size < quarter
+        owner = [i for i, size in enumerate(sizes) for _ in range(size)]
+        rng.shuffle(owner)
+        first = list(dict.fromkeys(owner))  # components by first vertex
+        label = np.array([first.index(c) for c in owner])
+        comps = [np.flatnonzero(label == i).tolist() for i in range(len(sizes))]
+        want = _reference_peel_components(comps, acc_size, quarter, n)
+        if want is None:
+            want = [v for comp in sorted(comps, key=len)[:-1] for v in comp]
+        got = cutmatch._peel_components(label, len(sizes), acc_size, quarter, n)
+        assert np.flatnonzero(got).tolist() == sorted(want), (sizes, acc_size)
+
+
+def test_edgeless_witness_builds_no_subgraph(monkeypatch):
+    # The game's round-0 witness has no edges: the cut player peels a
+    # quarter of its singletons off the graph it was given.
+    built = []
+    real = MultiGraph._build
+
+    def spy(self, n, eu, ev):
+        built.append(n)
+        return real(self, n, eu, ev)
+
+    g = MultiGraph(40, [])
+    monkeypatch.setattr(MultiGraph, "_build", spy)
+    res = cut_or_certify(g, 1)
+    assert built == []
+    assert res == BalancedCutMove(frozenset(range(10)), frozenset(range(10, 40)), 0)

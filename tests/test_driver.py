@@ -310,3 +310,57 @@ def test_solvers_leave_the_edge_tuple_view_unbuilt():
     g = MultiGraph(40, edges)
     assert sparsest_cut(g, 1).value == Fraction(1, 20)
     assert g._edges is None
+
+
+@pytest.mark.parametrize("phi", [Fraction(1, 16), Fraction(1, 4)])
+def test_bal_cut_prune_processes_the_giant_component(phi):
+    # An expander plus one separate edge: no zero-edge assembly balances
+    # the volume, so the giant component is processed on its own and the
+    # separate edge joins side B.
+    ex = construct_expander(40)
+    g = MultiGraph(42, list(ex.edges) + [(40, 41)])
+    res = bal_cut_prune(g, phi, 1)
+    assert res.a_side == frozenset(range(40))
+    assert res.b_side == frozenset({40, 41})
+    assert (res.cut_edges, res.branch) == (0, "pruned")
+    assert res.report["notes"][-1] == "disconnected input: processed the giant component"
+    check_bcp(g, phi, res)
+
+
+def test_no_subgraph_copies_a_whole_vertex_set(monkeypatch):
+    # A planted union whose decomposition plays one cut-matching game.  The
+    # peels start on the graph they were given, and every subgraph taken
+    # on a whole vertex set is that graph itself, not a copy.
+    from balcut import cutmatch, driver, graph
+    from balcut.generators import planted_expander_union
+
+    g, _ = planted_expander_union([30, 30], 4, [(0, 1)], 1)
+    seen = {"games": 0, "whole": 0, "copies": 0}
+    inside_whole = []
+    real_game, real_sub, real_build = (
+        driver.iterations_final_cut, graph.masked_subgraph, MultiGraph._build)
+
+    def game(*args, **kwargs):
+        seen["games"] += 1
+        return real_game(*args, **kwargs)
+
+    def sub(host, keep, alive=None):
+        whole = bool(keep.all()) and alive is None
+        seen["whole"] += whole
+        inside_whole.append(whole)
+        try:
+            return real_sub(host, keep, alive)
+        finally:
+            inside_whole.pop()
+
+    def build(self, n, eu, ev):
+        seen["copies"] += bool(inside_whole and inside_whole[-1])
+        return real_build(self, n, eu, ev)
+
+    monkeypatch.setattr(driver, "iterations_final_cut", game)
+    for module in (graph, driver, cutmatch):
+        monkeypatch.setattr(module, "masked_subgraph", sub)
+    monkeypatch.setattr(MultiGraph, "_build", build)
+    dec = expander_decomposition(g, Fraction(1, 2), 1)
+    assert len(dec.clusters) == 1
+    assert seen["games"] == 1 and seen["whole"] >= 5 and seen["copies"] == 0, seen

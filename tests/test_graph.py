@@ -21,12 +21,14 @@ from balcut.generators import (
 from balcut.graph import (
     MultiGraph,
     brute_force_extremum,
+    component_labels,
     connected_components,
     cut_edge_count,
     cut_stats,
     find_bridges,
     induced_subgraph,
     is_connected,
+    masked_subgraph,
     path_congestion,
     threshold_cut_counts,
 )
@@ -90,6 +92,47 @@ def test_cut_stats_rejects_improper_sides():
         cut_stats(g, set())
     with pytest.raises(InvalidCut):
         cut_stats(g, {0, 1, 2, 3})
+
+
+@pytest.mark.parametrize("make", [frozenset, set, list, np.array])
+def test_cut_stats_names_each_improper_side(make):
+    g = complete_graph(4)
+    for side, message in (
+        ([], "cut side must be proper: |S|=0, n=4"),
+        ([0, 1, 2, 3], "cut side must be proper: |S|=4, n=4"),
+        ([0, 1, 2, 3, 3], "cut side must be proper: |S|=4, n=4"),
+        ([0, 4], "cut side contains an out-of-range vertex"),
+        ([-1, 2], "cut side contains an out-of-range vertex"),
+    ):
+        with pytest.raises(InvalidCut) as exc:
+            cut_stats(g, make(side))
+        assert str(exc.value) == message
+
+
+def test_cut_stats_keeps_a_frozenset_side_and_reads_others_as_ints():
+    g = cycle_graph(8)
+    side = frozenset({1, 2, 3})
+    assert cut_stats(g, side).side is side
+    got = cut_stats(g, np.array([3, 1, 2, 1]))
+    assert got.side == side and all(type(v) is int for v in got.side)
+    assert (got.delta, got.vol_s) == (2, 6)
+
+
+def test_masked_subgraph_keeping_everything_is_the_graph_itself():
+    g = complete_graph(4)
+    sub, idx = masked_subgraph(g, np.ones(4, dtype=bool))
+    assert sub is g and idx.tolist() == [0, 1, 2, 3]
+    sub, _ = masked_subgraph(g, np.ones(4, dtype=bool), np.arange(6) != 2)
+    assert sub is not g and sub.m == 5
+
+
+def test_component_labels_fast_paths():
+    k, label = component_labels(MultiGraph(5, []))
+    assert k == 5 and label.tolist() == [0, 1, 2, 3, 4]
+    k, label = component_labels(cycle_graph(6))
+    assert k == 1 and label.tolist() == [0] * 6
+    k, label = component_labels(MultiGraph(0, []))
+    assert k == 0 and label.size == 0
 
 
 def test_induced_subgraph_identity_and_k3():
@@ -419,6 +462,23 @@ def test_array_core_matches_reference(case):
         r = reduce_degree(h)
         hat, kind, type2 = ref_reduce(n, loopless, *ref_adj_deg(n, loopless))
         assert (r.hat_g.edges, r.edge_kind, r.type2_map) == (hat, kind, type2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+def test_component_labels_number_components_in_their_list_order(case):
+    # Component i holds the i-th smallest minimum vertex, the order of
+    # connected_components, recounted here by a plain BFS.
+    n, edges, _ = case
+    g = MultiGraph(n, edges)
+    ref = ref_components(n, edges, ref_adj_deg(n, edges)[0])
+    want = [0] * n
+    for i, comp in enumerate(ref):
+        for v in comp:
+            want[v] = i
+    k, label = component_labels(g)
+    assert k == len(ref) and label.tolist() == want
+    assert connected_components(g) == ref
 
 
 def _nx_case(n, seed, attach):
