@@ -49,14 +49,7 @@ from .graph import (
 )
 from .localflow import PairRouting, route_or_cut_1pair
 from .pruning import expander_prune
-from .reduce import (
-    _majority_side,
-    _project_mask,
-    lift_cut,
-    make_canonical,
-    project_cut,
-    reduce_degree,
-)
+from .reduce import lift_cut, make_canonical, project_cut, reduce_degree
 from .routing import log2ceil
 from .spectral import certified_floor, cheeger_floor
 
@@ -248,7 +241,11 @@ def bal_cut_prune(g: MultiGraph, phi, r: int) -> BalCutPruneResult:
         if guard > big_n + 2:
             raise InternalInvariantBroken("bal_cut_prune peel loop stalled")
         sub, members = masked_subgraph(hat, ~acc)
-        k, label = component_labels(sub)
+        # The first pass needs no labelling: hat is connected because g is
+        # (checked above).  Each cluster carries a connected
+        # construct_expander(deg v), and the type-2 edges join clusters as
+        # g's edges join vertices.
+        k, label = component_labels(sub) if acc.any() else (1, None)
         if k > 1:
             # peel the smallest component, the lowest first vertex on ties
             # (always canonical: cluster graphs are connected, so
@@ -258,7 +255,7 @@ def bal_cut_prune(g: MultiGraph, phi, r: int) -> BalCutPruneResult:
         outcome = iterations_final_cut(sub, psi, z, r)
         if isinstance(outcome, Cut):
             in_x = _side_mask(big_n, members[_index_array(outcome.side)])
-            x_can = _majority_side(red, ~acc, in_x)
+            x_can = make_canonical(red, ~acc, in_x)
             y_can = ~acc & ~x_can
             small = min(x_can, y_can, key=np.count_nonzero)  # ties: x_can
             if not small.any():
@@ -276,7 +273,7 @@ def bal_cut_prune(g: MultiGraph, phi, r: int) -> BalCutPruneResult:
             if mode == "done":
                 return payload
             if mode == "peel":
-                acc[_index_array(payload)] = True
+                acc |= payload
                 corrections += 1
                 report["corrections"] = corrections
                 continue
@@ -285,10 +282,11 @@ def bal_cut_prune(g: MultiGraph, phi, r: int) -> BalCutPruneResult:
             return _oracle_drive(g, phi, report)
         break
 
-    orig_a, orig_b = _project_mask(red, ~acc)
+    orig_a = project_cut(red, ~acc)
     report["rounds"] = rounds_total
     report["corrections"] = corrections
-    return _finish(g, orig_a, orig_b, phi, None, report)
+    return _finish(g, frozenset(np.flatnonzero(orig_a).tolist()),
+                   frozenset(np.flatnonzero(~orig_a).tolist()), phi, None, report)
 
 
 def _oracle_drive(g: MultiGraph, phi: Fraction, report: dict) -> BalCutPruneResult:
@@ -320,9 +318,7 @@ def _oracle_drive(g: MultiGraph, phi: Fraction, report: dict) -> BalCutPruneResu
 
 def _witness_case(g, red, members, wr: WitnessResult, phi, report):
     """Case 2 of the driver: contract clusters, prune fakes, verify."""
-    # Hat vertex h lies in the cluster of the original vertex whose incidence
-    # CSR range indptr[v]:indptr[v + 1] holds it.
-    cluster = (np.searchsorted(g.indptr, members, side="right") - 1).tolist()
+    cluster = red.owner[members].tolist()
     u_orig = sorted(set(cluster))
     sub_g, idx_g = induced_subgraph(g, u_orig)
     back = {v: i for i, v in enumerate(idx_g)}
@@ -362,9 +358,8 @@ def _witness_case(g, red, members, wr: WitnessResult, phi, report):
         side = worst.side if worst.vol_s <= worst.vol_comp else (
             frozenset(range(core.n)) - worst.side
         )
-        orig_side = {idx_core[v] for v in side}
-        peel = lift_cut(red, orig_side)
-        if not peel:
+        peel = lift_cut(red, _side_mask(g.n, [idx_core[v] for v in side]))
+        if not peel.any():
             return None
         return ("peel", peel)
     b_orig = frozenset(range(g.n)) - a_orig
@@ -465,10 +460,6 @@ def expander_decomposition(g: MultiGraph, eps, r: int = 1) -> DecompositionResul
             continue
         a = sorted(idx[v] for v in res.a_side)
         b = sorted(idx[v] for v in res.b_side)
-        if not b:
-            final.append(cluster)
-            certs.append(res.certified_phi or certified_floor(sub, "conductance"))
-            continue
         if res.branch == "pruned":
             final.append(a)
             certs.append(res.certified_phi)
@@ -721,15 +712,13 @@ def lowest_conductance_cut(g: MultiGraph, r: int = 1) -> ApproxCutResult:
                                {"note": "disconnected: component cut"})
     red = reduce_degree(g)
     hat_res = sparsest_cut(red.hat_g, r)
-    hat_cut = hat_res.cut
-    a_hat = set(hat_cut.side)
-    b_hat = set(range(red.hat_g.n)) - a_hat
-    a_can, b_can = make_canonical(red, range(red.hat_g.n), a_hat, b_hat)
+    a_hat = _side_mask(red.hat_g.n, hat_res.cut.side)
+    a_can = make_canonical(red, np.ones(red.hat_g.n, dtype=bool), a_hat)
     cut = None
-    if a_can and b_can:
-        orig_a, _ = project_cut(red, a_can, b_can)
-        if orig_a and len(orig_a) < g.n:
-            cut = cut_stats(g, orig_a)
+    if a_can.any() and not a_can.all():
+        orig_a = project_cut(red, a_can)
+        if orig_a.any() and not orig_a.all():
+            cut = cut_stats(g, np.flatnonzero(orig_a))
     for cand in _candidate_cuts(g, "conductance"):
         if cut is None or cand.conductance < cut.conductance:
             cut = cand

@@ -43,11 +43,12 @@ class MultiGraph:
         eu_list: ``eu`` as a list, for the same walks and on the same terms.
 
     ``edges``, ``slots`` and ``eu_list`` are views built on first access;
-    hot loops read them once into locals.
+    hot loops read them once into locals.  ``component_labels`` caches its
+    result on the graph the same way.
     """
 
     __slots__ = ("n", "eu", "ev", "indptr", "inc", "nbr", "deg", "_loops",
-                 "_edges", "_slots", "_eu_list", "_degrees")
+                 "_edges", "_slots", "_eu_list", "_degrees", "_components")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -85,6 +86,7 @@ class MultiGraph:
             arr.flags.writeable = False
         self._loops = int(np.count_nonzero(eu == ev))
         self._edges = self._slots = self._eu_list = self._degrees = None
+        self._components = None
 
     @property
     def m(self) -> int:
@@ -199,8 +201,11 @@ def _checked_pairs(n: int, edges) -> np.ndarray:
 
 
 def _index_array(s: Iterable[int]) -> np.ndarray:
-    """A vertex collection as an int64 index array."""
+    """A vertex collection as an int64 index array.  A boolean array raises
+    InvalidInput: cast, it would read as the ids 0 and 1."""
     if isinstance(s, np.ndarray):
+        if s.dtype == np.bool_:
+            raise InvalidInput("expected vertex ids, got a boolean mask")
         return s.astype(np.int64, copy=False)
     return np.fromiter(s, dtype=np.int64)
 
@@ -392,7 +397,16 @@ def component_labels(g: MultiGraph) -> tuple[int, np.ndarray]:
     """(k, label): the component count and each vertex's component, numbered
     so that component i holds the i-th smallest minimum vertex (the order
     of ``connected_components``).  An edgeless graph and a connected one
-    cost O(1) Python past scipy's labelling."""
+    cost O(1) Python past scipy's labelling.  The graph is immutable, so the
+    result is cached on it; ``label`` is read-only."""
+    if g._components is None:
+        k, label = _label_components(g)
+        label.flags.writeable = False
+        g._components = k, label
+    return g._components
+
+
+def _label_components(g: MultiGraph) -> tuple[int, np.ndarray]:
     if g.m == 0:
         return g.n, np.arange(g.n)
     # Imported on first use: csgraph pulls in scipy.sparse.linalg.

@@ -9,13 +9,19 @@ the input of the ``prune_batches`` benchmark workload; the two generator
 benchmarks build that graph and ``construct_expander(40000)``, the base of
 the ``certify_expander`` workload.  The cut player's peel runs on an
 edgeless 32,006-vertex graph, the round-0 witness of the first game of
-the ``decompose_planted`` workload.
+the ``decompose_planted`` workload.  The reduce layer's ``make_canonical``
+and ``project_cut`` run on the first matcher cut of that workload's
+degree-reduced graph (seed 1, 32,006 hat vertices).
 """
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
+from balcut import driver
 from balcut.expanders import construct_expander
-from balcut.generators import random_regularish_graph
+from balcut.generators import planted_expander_union, random_regularish_graph
 from balcut.cutmatch import BalancedCutMove, cut_or_certify
 from balcut.graph import (
     MultiGraph,
@@ -23,7 +29,12 @@ from balcut.graph import (
     connected_components,
     induced_subgraph,
 )
-from balcut.reduce import reduce_degree
+from balcut.reduce import (
+    is_canonical,
+    make_canonical,
+    project_cut,
+    reduce_degree,
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +73,37 @@ def test_cut_or_certify_edgeless_witness(benchmark):
 def test_reduce_degree(benchmark, graph):
     red = benchmark(reduce_degree, graph)
     assert red.hat_g.n == 2 * graph.m
+
+
+@pytest.fixture(scope="module")
+def first_matcher_cut():
+    """(reduced graph, host mask, cut mask) of the first ``make_canonical``
+    call in ``decompose_planted``'s op at seed 1."""
+    g, _ = planted_expander_union([1000] * 4, 8, [(0, 1), (1, 2), (2, 3)], 1)
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return make_canonical(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "make_canonical", record)
+        driver.expander_decomposition(g, Fraction(1, 2), 2)
+    return calls[0]
+
+
+def test_make_canonical(benchmark, first_matcher_cut):
+    red, host, in_x = first_matcher_cut
+    x_can = benchmark(make_canonical, red, host, in_x)
+    assert red.hat_g.n == 32006 and is_canonical(red, x_can)
+
+
+def test_project_cut(benchmark, first_matcher_cut):
+    red, host, in_x = first_matcher_cut
+    x_can = make_canonical(red, host, in_x)
+    orig_a = benchmark(project_cut, red, x_can)
+    # a canonical side's size is its projection's volume
+    assert np.diff(red.indptr)[orig_a].sum() == np.count_nonzero(x_can)
 
 
 def test_construct_expander(benchmark):

@@ -153,6 +153,16 @@ def test_decomposition_single_expander():
     assert all(c > 0 for c in dec.certificates)
 
 
+def test_decomposition_keeps_an_isolated_vertex_as_a_singleton():
+    # The isolated vertex is a component of its own, which the worklist
+    # emits as a singleton cluster with certificate 1.
+    g = MultiGraph(21, construct_expander(20).edges)
+    dec = expander_decomposition(g, Fraction(1, 2), 1)
+    assert dec.clusters == [list(range(20)), [20]]
+    assert dec.certificates == [Fraction(224371307, 2**30), Fraction(1)]
+    assert dec.inter_cluster_edges == 0
+
+
 def test_decomposition_path_graph():
     from balcut.generators import path_graph
 

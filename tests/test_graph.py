@@ -135,6 +135,35 @@ def test_component_labels_fast_paths():
     assert k == 0 and label.size == 0
 
 
+def test_is_connected_labels_a_graph_once(monkeypatch):
+    import scipy.sparse.csgraph as csgraph
+
+    calls = []
+    labels = csgraph.connected_components
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return labels(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "connected_components", counted)
+    g = cycle_graph(7)
+    assert is_connected(g) and is_connected(g)
+    assert connected_components(g) == [list(range(7))]
+    assert len(calls) == 1
+    k, label = component_labels(g)
+    assert not label.flags.writeable
+
+
+def test_vertex_set_entry_points_reject_a_boolean_mask():
+    # Cast to int64, the mask [True, False, True] would read as the ids
+    # 1, 0, 1.
+    g = cycle_graph(3)
+    side = np.array([True, False, True])
+    for call in (g.volume, lambda s: cut_stats(g, s), lambda s: induced_subgraph(g, s)):
+        with pytest.raises(InvalidInput, match="boolean mask"):
+            call(side)
+
+
 def test_induced_subgraph_identity_and_k3():
     g = complete_graph(4)
     whole, idx = induced_subgraph(g, range(4))
@@ -461,7 +490,10 @@ def test_array_core_matches_reference(case):
         h = MultiGraph(n, loopless)
         r = reduce_degree(h)
         hat, kind, type2 = ref_reduce(n, loopless, *ref_adj_deg(n, loopless))
-        assert (r.hat_g.edges, r.edge_kind, r.type2_map) == (hat, kind, type2)
+        type1 = r.hat_g.m - h.m  # hat edge type1 + e is the image of edge e
+        assert r.hat_g.edges == hat
+        assert (kind, type2) == ((1,) * type1 + (2,) * h.m,
+                                 tuple(range(type1, r.hat_g.m)))
 
 
 @settings(max_examples=300, deadline=None)
