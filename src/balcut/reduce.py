@@ -17,12 +17,11 @@ for hat vertices and over range(n) for original ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidInput
-from .expanders import construct_expander, expander_sparsity_floor
+from .expanders import construct_expander
 from .graph import MultiGraph, _distinct
 
 
@@ -131,19 +130,6 @@ def make_canonical(r: ReducedGraph, host: np.ndarray, a_side: np.ndarray) -> np.
         raise InvalidInput("a_side must lie in the host set")
     split = (inside > 0) & (inside < size)
     return np.where(split[r.owner], (2 * inside >= size)[r.owner], a_side)
-
-
-def canonical_blowup_constant(r: ReducedGraph) -> Fraction:
-    """Reported bound 1 + 1/alpha0 on the make_canonical edge blowup.
-
-    Uses the weakest per-cluster sparsity floor actually present.
-    """
-    size = np.diff(r.indptr)
-    sizes = _distinct(size[size >= 2]).tolist()
-    if not sizes:
-        return Fraction(1)
-    floor = min(expander_sparsity_floor(s) for s in sizes)
-    return 1 + 1 / floor
 
 
 def project_cut(r: ReducedGraph, a_side: np.ndarray) -> np.ndarray:

@@ -2,11 +2,11 @@
 
 Each round packs a maximal set of edge-disjoint paths of length at most
 ``ell`` between the residual terminal sets of the k families, one
-Even-Shiloach tree per family over a shared decremental copy of the host
-(virtual super-source/sink vertices extend depth by two).  When a round
-makes too little progress, the residual terminals of every family are more
-than ``ell`` apart, and simultaneous ball growing peels a cut whose
-sparsity is at most 72 * Delta * log2ceil(n) / ell.
+Even-Shiloach tree per family over one augmented host under a shared
+live-edge mask (virtual super-source/sink vertices extend depth by two).
+When a round makes too little progress, the residual terminals of every
+family are more than ``ell`` apart, and simultaneous ball growing peels a
+cut whose sparsity is at most 72 * Delta * log2ceil(n) / ell.
 
 All logarithms are base two and are rounded up to integers inside bound
 formulas, so every threshold is an exact rational.
@@ -30,10 +30,10 @@ from .graph import (
     Cut,
     MultiGraph,
     bfs_levels,
-    cut_edge_count,
     cut_stats,
     masked_subgraph,
     path_congestion,
+    threshold_cut_counts,
 )
 
 
@@ -96,47 +96,61 @@ def greedy_pack_round(
     graph).  On return no family admits a path of length <= ell between its
     residual terminal sets in the depleted graph.
 
-    Families are served in index order; each gets one Even-Shiloach tree to
-    depth ell + 2 over the shared depleted host.  A family's tree is built
-    lazily on the host as already depleted by earlier families (edge
-    deletions only lengthen distances, so the no-short-path conclusion for
-    served families survives later deletions) and is dropped afterwards,
-    which keeps every deletion a single-tree update.
+    The round runs on one augmented host: g plus a super-source n and a
+    super-sink n + 1, with every family's virtual edges (n, a) and (b, n + 1)
+    appended after g's edges, family by family in ascending terminal order,
+    under one live-edge mask in which a family's virtual edges are live only
+    while it is served.  Families are served in index order; each gets one
+    Even-Shiloach tree to depth ell + 2 over the host as already depleted by
+    earlier families (edge deletions only lengthen distances, so the
+    no-short-path conclusion for served families survives later deletions).
+    A tree is dropped as soon as its family runs out of terminals on either
+    side: the last path's edges die in the mask without a tree repair.
     """
     n, m = g.n, g.m
-    alive = bytearray([1]) * m if m else bytearray()
     src, dst = n, n + 1
+    heads: list[int] = []
+    tails: list[int] = []
+    bounds = [m]
+    for a_set, b_set in residual:
+        a_ids, b_ids = sorted(a_set), sorted(b_set)
+        heads += [src] * len(a_ids) + b_ids
+        tails += a_ids + [dst] * len(b_ids)
+        bounds.append(m + len(heads))
+    host = MultiGraph._from_arrays(
+        n + 2,
+        np.concatenate([g.eu, np.array(heads, dtype=np.int64)]),
+        np.concatenate([g.ev, np.array(tails, dtype=np.int64)]),
+    )
+    alive = bytearray([1]) * m + bytearray(bounds[-1] - m)
     matches: list[list[tuple[int, int]]] = [[] for _ in residual]
     paths: dict[tuple[int, int], list[int]] = {}
-    host_edges = g.edges
     for i, (a_set, b_set) in enumerate(residual):
         if not a_set or not b_set:
             continue
-        edges = [e if alive[eid] else (src, src) for eid, e in enumerate(host_edges)]
-        virt: dict[int, int] = {}
-        for a in sorted(a_set):
-            virt[a] = len(edges)
-            edges.append((src, a))
-        for b in sorted(b_set):
-            virt[b] = len(edges)
-            edges.append((b, dst))
-        tree = ESTree(n + 2, edges, src, ell + 2)
-        while a_set and b_set and tree.reachable(dst):
-            walk = tree.path_to(dst)
-            inner = walk[1:-1]
+        lo, hi = bounds[i], bounds[i + 1]
+        alive[lo:hi] = bytearray([1]) * (hi - lo)
+        tree = ESTree(host, src, ell + 2, alive)
+        while tree.reachable(dst):
+            inner = tree.path_to(dst)[1:-1]
             if len(inner) - 1 > ell:
                 raise DiagnosticFailure("packed path longer than ell")
             a, b = inner[0], inner[-1]
             matches[i].append((a, b))
             paths[(a, b)] = inner
-            tree.delete_edge(virt[a])
-            tree.delete_edge(virt[b])
             a_set.discard(a)
             b_set.discard(b)
-            for eid in _edge_ids_along(g, inner, alive):
-                alive[eid] = 0
+            # The virtual edges (src, a) and (b, dst), then the host edges.
+            spent = [tree.parent_edge[a], tree.parent_edge[dst],
+                     *_edge_ids_along(host, inner, alive)]
+            if not a_set or not b_set:
+                for eid in spent:
+                    alive[eid] = 0
+                break
+            for eid in spent:
                 tree.delete_edge(eid)
-    return matches, paths, alive
+        alive[lo:hi] = bytearray(hi - lo)
+    return matches, paths, alive[:m]
 
 
 def _edge_ids_along(g: MultiGraph, path: list[int], alive: bytearray) -> list[int]:
@@ -175,41 +189,35 @@ def ball_grow_cut(h: MultiGraph, s_set, t_set, ell: int) -> frozenset[int]:
     n = h.n
     delta = max(h.max_degree(), 1)
     bound_num = 8 * delta * log2ceil(n)  # bound = bound_num / ell per vertex
-
-    def grown(base: frozenset[int]) -> list[frozenset[int]]:
-        balls = [base]
-        cur = set(base)
-        while True:
-            nxt = set(cur)
-            for v in cur:
-                for _, w in h.neighbors(v):
-                    nxt.add(w)
-            balls.append(frozenset(nxt))
-            if len(nxt) == len(cur):  # stabilized (hit a component boundary)
-                return balls
-            cur = nxt
-
-    s_balls = grown(s_set)
-    t_balls = grown(t_set)
-
-    # The growth argument guarantees a qualifying radius below ceil(ell/4);
-    # the scan checks every radius (degenerate instances stabilize on their
-    # component ball) and keeps the sparsest qualifying ball, breaking ties
-    # toward smaller radii and the S side.
-    best = None  # (cross, |Z|, radius, side_rank, ball)
-    for j in range(max(len(s_balls), len(t_balls)) - 1):
-        for rank, balls in enumerate((s_balls, t_balls)):
-            if j + 1 < len(balls):
-                z = balls[j]
-                nxt = balls[j + 1]
-                if 2 * len(nxt) <= n:
-                    cross = cut_edge_count(h, z)
-                    if cross * ell < bound_num * len(z):
-                        if best is None or cross * best[1] < best[0] * len(z):
-                            best = (cross, len(z), j, rank, z)
-    if best is None:
+    sides = [_balls(h, dist), _balls(h, bfs_levels(h, sorted(t_set)))]
+    # Ball j of a side is {dist <= j}, up to the radius where it stabilizes
+    # (its component ball).  The growth argument guarantees a qualifying
+    # radius below ceil(ell/4); every radius is checked, and the sparsest
+    # qualifying ball wins, ties going to smaller radii and then the S side.
+    qualifying = [
+        (Fraction(cross[j], sizes[j]), j, rank)
+        for rank, (_, sizes, cross) in enumerate(sides)
+        for j in range(len(cross))
+        if 2 * sizes[j + 1] <= n and cross[j] * ell < bound_num * sizes[j]
+    ]
+    if not qualifying:
         raise DiagnosticFailure("no qualifying ball for the given ell")
-    return best[4]
+    _, j, rank = min(qualifying)
+    return frozenset(np.flatnonzero(sides[rank][0] <= j).tolist())
+
+
+def _balls(h: MultiGraph, dist: list[float]) -> tuple[np.ndarray, list[int], list[int]]:
+    """(key, sizes, crossings) of BFS distances: ``key`` holds them as
+    integers with unreachable vertices at e + 1, e the largest finite one;
+    ``sizes[j]`` and ``crossings[j]`` count the vertices and crossing edges
+    of the ball {key <= j}, j = 0 .. e, and ``sizes[e + 1] = sizes[e]``."""
+    d = np.array(dist)
+    finite = np.isfinite(d)
+    top = int(d[finite].max()) + 1
+    key = np.where(finite, d, top).astype(np.int64)
+    crossings, _ = threshold_cut_counts(h, key, top)
+    sizes = np.cumsum(np.bincount(key, minlength=top + 1))[:top].tolist()
+    return key, sizes + sizes[-1:], crossings
 
 
 def route_or_cut(

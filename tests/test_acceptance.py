@@ -151,7 +151,7 @@ def test_ac3_es_tree_equivalence():
         g = random_graph(n, rng.choice([0.1, 0.2, 0.35]), 7000 + run)
         cap = rng.choice([3, 5, 9, 14])
         root = rng.randrange(n)
-        tree = ESTree(g.n, g.edges, root, cap)
+        tree = ESTree(g, root, cap)
         alive = [1] * g.m
         order = list(range(g.m))
         rng.shuffle(order)

@@ -163,6 +163,40 @@ def test_recursive_step_runs(monkeypatch):
     assert res.side == frozenset(range(200))
 
 
+def test_base_step_routes_then_extracts(monkeypatch):
+    # At r=1 the forced 10x20 grid goes through the base step.  At the
+    # first ell the multi-pair router peels a cut of the first matching that
+    # is over the budget; at the second it routes all 11 matchings of the
+    # explicit expander.  Extraction is tried once and misses its budget,
+    # and the fake-edge count already sits at its floor, so the measured
+    # fallback certifies the grid.
+    g = MultiGraph(200, [(v, v + d) for v in range(200)
+                         for d, ok in ((20, v < 180), (1, v % 20 < 19)) if ok])
+    routed, extracted = [], []
+    real_route, real_extract = cutmatch.route_or_cut, cutmatch._try_extract
+
+    def route_spy(host, fam, z, ell):
+        out = real_route(host, fam, z, ell)
+        routed.append((ell, type(out).__name__))
+        return out
+
+    def extract_spy(*args):
+        extracted.append(real_extract(*args))
+        return extracted[-1]
+
+    monkeypatch.setattr(cutmatch, "route_or_cut", route_spy)
+    monkeypatch.setattr(cutmatch, "_try_extract", extract_spy)
+    monkeypatch.setattr(cutmatch, "N0", 5)
+    monkeypatch.setattr(cutmatch, "MACHINERY_FLOOR", 200)
+    res = cut_or_certify(g, 1)
+    assert routed == [(20, "Cut")] + [(40, "PartialRouting")] * 11
+    assert extracted == [None]
+    assert isinstance(res, CertifiedSubset)
+    assert res.detail == "fallback-measured"
+    assert res.psi == Fraction(114595, 33554432)
+    assert res.side == frozenset(range(200))
+
+
 def test_extract_expander_trivial_identity():
     g = construct_expander(12)
     w = Witness(g, g.n)

@@ -297,12 +297,14 @@ def test_prefix_and_singleton_scans_match_the_cut_stats_loop():
 
 
 def test_solvers_leave_the_edge_tuple_view_unbuilt():
-    # Push-relabel, its preflow recount, the path decomposition, pruning and
-    # the sparsest-cut game read the arrays and the slot lists only; the
-    # lazy ``edges`` tuple view of the caller's graph stays unbuilt.
+    # Push-relabel, its preflow recount, the path decomposition, pruning,
+    # the sparsest-cut game and the multi-pair router read the arrays and
+    # the slot lists only; the lazy ``edges`` tuple view of the caller's
+    # graph stays unbuilt.
     from balcut.generators import planted_expander_union
     from balcut.localflow import PairRouting, route_or_cut_1pair
     from balcut.pruning import expander_prune
+    from balcut.routing import PairFamily, PartialRouting, route_or_cut
 
     planted, _ = planted_expander_union([20, 20], 6, [(0, 1)], 3)
     edges = list(planted.edges)
@@ -319,6 +321,12 @@ def test_solvers_leave_the_edge_tuple_view_unbuilt():
 
     g = MultiGraph(40, edges)
     assert sparsest_cut(g, 1).value == Fraction(1, 20)
+    assert g._edges is None
+
+    g = MultiGraph(40, edges)
+    fam = PairFamily.of([(range(0, 4), range(4, 9)), (range(20, 22), range(30, 33))])
+    res = route_or_cut(g, fam, 0, 4)
+    assert isinstance(res, PartialRouting) and res.value == 6
     assert g._edges is None
 
 

@@ -1,12 +1,13 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import pairwise
 
 import numpy as np
 import pytest
 
 from balcut.errors import InvalidInput
-from balcut.expanders import construct_expander
+from balcut.expanders import construct_expander, expander_sparsity_floor
 from balcut.generators import (
     complete_graph,
     cycle_graph,
@@ -216,11 +217,18 @@ def test_make_canonical_majority_moves_center():
     assert is_canonical(r, a2) and is_canonical(r, ~a2)
 
 
+def canonical_blowup_constant(r):
+    """The bound 1 + 1/alpha0 on the make_canonical edge blowup, from the
+    weakest sparsity floor among the cluster sizes present."""
+    sizes = {len(c) for c in clusters(r) if len(c) >= 2}
+    if not sizes:
+        return Fraction(1)
+    return 1 + 1 / min(expander_sparsity_floor(s) for s in sizes)
+
+
 def test_make_canonical_blowup_and_balance():
     # On sparse cuts the output keeps at least half of each side, and the
     # cut-edge count grows by at most 1 + 1/alpha0 with per-size floors.
-    from balcut.reduce import canonical_blowup_constant
-
     for seed in range(25):
         g = random_connected_graph(10, 0.35, seed)
         r = reduce_degree(g)

@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -169,8 +171,6 @@ def _cut_phase_reference(g, residual, alive, ell, z, psi_bound):
 
 
 def test_cut_phase_matches_the_dict_relabel_reference():
-    import random
-
     from balcut.routing import _cut_phase
 
     rng = random.Random(5)
@@ -207,3 +207,174 @@ def test_edge_ids_along_take_the_lowest_live_parallel_copy():
     alive[4] = 0
     with pytest.raises(DiagnosticFailure):
         _edge_ids_along(g, [1, 2, 3], alive)
+
+
+def _greedy_pack_round_reference(g, residual, ell):
+    """``greedy_pack_round`` as it was: per family, a fresh tree over a copy
+    of the host edge list (dead edges rewritten as source self-loops) plus
+    that family's virtual edges, a second host mask kept by hand, and every
+    path's deletions repaired in the tree."""
+    from balcut.errors import DiagnosticFailure
+    from balcut.estree import ESTree
+    from balcut.routing import _edge_ids_along
+
+    n, m = g.n, g.m
+    alive = bytearray([1]) * m
+    src, dst = n, n + 1
+    matches = [[] for _ in residual]
+    paths = {}
+    for i, (a_set, b_set) in enumerate(residual):
+        if not a_set or not b_set:
+            continue
+        edges = [e if alive[eid] else (src, src) for eid, e in enumerate(g.edges)]
+        virt = {}
+        for a in sorted(a_set):
+            virt[a] = len(edges)
+            edges.append((src, a))
+        for b in sorted(b_set):
+            virt[b] = len(edges)
+            edges.append((b, dst))
+        tree = ESTree(MultiGraph(n + 2, edges), src, ell + 2)
+        while a_set and b_set and tree.reachable(dst):
+            inner = tree.path_to(dst)[1:-1]
+            if len(inner) - 1 > ell:
+                raise DiagnosticFailure("packed path longer than ell")
+            a, b = inner[0], inner[-1]
+            matches[i].append((a, b))
+            paths[(a, b)] = inner
+            tree.delete_edge(virt[a])
+            tree.delete_edge(virt[b])
+            a_set.discard(a)
+            b_set.discard(b)
+            for eid in _edge_ids_along(g, inner, alive):
+                alive[eid] = 0
+                tree.delete_edge(eid)
+    return matches, paths, alive
+
+
+def _ball_grow_cut_reference(h, s_set, t_set, ell):
+    """``ball_grow_cut`` as it was: every radius's ball grown as a Python
+    set and its crossing edges recounted."""
+    from balcut.errors import DiagnosticFailure
+    from balcut.graph import bfs_levels, cut_edge_count
+
+    if ell <= 1:
+        raise InvalidInput("ball growing needs ell > 1")
+    s_set, t_set = frozenset(s_set), frozenset(t_set)
+    if not s_set or not t_set:
+        raise InvalidInput("ball growing needs nonempty sets")
+    dist = bfs_levels(h, sorted(s_set))
+    if any(dist[t] <= ell for t in t_set):
+        raise PreconditionViolated("an S-T path of length <= ell exists")
+    n = h.n
+    bound_num = 8 * max(h.max_degree(), 1) * log2ceil(n)
+
+    def grown(base):
+        balls, cur = [base], set(base)
+        while True:
+            nxt = set(cur)
+            for v in cur:
+                nxt.update(w for _, w in h.neighbors(v))
+            balls.append(frozenset(nxt))
+            if len(nxt) == len(cur):
+                return balls
+            cur = nxt
+
+    s_balls, t_balls = grown(s_set), grown(t_set)
+    best = None
+    for j in range(max(len(s_balls), len(t_balls)) - 1):
+        for balls in (s_balls, t_balls):
+            if j + 1 < len(balls) and 2 * len(balls[j + 1]) <= n:
+                z = balls[j]
+                cross = cut_edge_count(h, z)
+                if cross * ell < bound_num * len(z):
+                    if best is None or cross * best[1] < best[0] * len(z):
+                        best = (cross, len(z), z)
+    if best is None:
+        raise DiagnosticFailure("no qualifying ball for the given ell")
+    return best[2]
+
+
+def _random_multigraph(rng, n):
+    """Parallel edges, self-loops and a few isolated vertices."""
+    isolated = set(rng.sample(range(n), rng.randint(0, n // 5)))
+    live = [v for v in range(n) if v not in isolated]
+    edges = []
+    for _ in range(rng.randint(0, 3 * n)):
+        u = rng.choice(live)
+        v = u if rng.random() < 0.06 else rng.choice(live)
+        edges.append((u, v))
+        if rng.random() < 0.12:
+            edges.append((v, u))
+    return MultiGraph(n, edges)
+
+
+def _random_families(rng, n):
+    """Up to four disjoint families of unequal sizes, |A_i| <= |B_i|."""
+    order = rng.sample(range(n), n)
+    fams = []
+    for _ in range(rng.randint(1, 4)):
+        a = rng.randint(1, 3)
+        b = rng.randint(a, a + 3)
+        if a + b > len(order):
+            break
+        fams.append((order[:a], order[a:a + b]))
+        order = order[a + b:]
+    return fams
+
+
+def test_pack_round_matches_the_per_family_copy_reference():
+    rng = random.Random(23)
+    matched = 0
+    for _ in range(300):
+        g = _random_multigraph(rng, rng.randint(6, 40))
+        fams = _random_families(rng, g.n)
+        ell = rng.randint(1, 8)
+        res = [(set(a), set(b)) for a, b in fams]
+        ref = [(set(a), set(b)) for a, b in fams]
+        got = greedy_pack_round(g, res, ell)
+        assert got == _greedy_pack_round_reference(g, ref, ell)
+        assert res == ref
+        matched += sum(len(mm) for mm in got[0])
+    assert matched > 600
+
+
+def test_ball_grow_matches_the_set_ball_reference():
+    from balcut.errors import DiagnosticFailure
+
+    rng = random.Random(29)
+    balls = 0
+    for _ in range(1500):
+        g = _random_multigraph(rng, rng.randint(2, 30))
+        picked = rng.sample(range(g.n), rng.randint(2, g.n))
+        cut = rng.randint(1, len(picked) - 1)
+        args = (g, picked[:cut], picked[cut:], rng.randint(1, 8))
+        try:
+            want = _ball_grow_cut_reference(*args)
+        except (InvalidInput, PreconditionViolated, DiagnosticFailure) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                ball_grow_cut(*args)
+            continue
+        assert ball_grow_cut(*args) == want
+        balls += 1
+    assert balls > 200
+
+
+def test_one_pair_family_tree_runs_no_repair(monkeypatch):
+    # A family's tree is dropped once a side runs out: a one-pair family
+    # never repairs, while a two-pair family repairs after its first path.
+    from balcut.estree import ESTree
+
+    repairs = []
+    real_repair = ESTree._repair
+
+    def counted(self, seed):
+        repairs.append(seed)
+        return real_repair(self, seed)
+
+    monkeypatch.setattr(ESTree, "_repair", counted)
+    g = complete_graph(8)
+    matches, _, _ = greedy_pack_round(g, [({0}, {5})], 3)
+    assert matches == [[(0, 5)]] and not repairs
+    matches, _, _ = greedy_pack_round(g, [({0, 1}, {5, 6})], 3)
+    assert len(matches[0]) == 2 and repairs
