@@ -218,18 +218,6 @@ def cut_or_certify(g: MultiGraph, r: int) -> BalancedCutMove | CertifiedSubset:
             if 2 * len(side) < n:
                 raise InternalInvariantBroken("certificate side below n/2")
             return CertifiedSubset(side, step.psi, step.detail)
-        if step is None:
-            # Stuck machinery on a connected remainder: certify it honestly
-            # with its measured floor (exact below the oracle limit, Cheeger
-            # above); the remainder holds > 3n/4 > n/2 vertices.
-            psi = certified_floor(cur_g, "sparsity")
-            if psi <= 0:
-                raise InternalInvariantBroken(
-                    "connected graph measured non-expanding at fallback"
-                )
-            return CertifiedSubset(
-                frozenset(idx.tolist()), psi, "fallback-measured"
-            )
         x_local, delta = step
         acc[idx[_index_array(x_local)]] = True
         edges_cut += delta
@@ -269,8 +257,10 @@ def _peel_components(label, k, acc_size, quarter, n):
 
 
 def _expander_step(cur_g, r, budget_left, still_needed):
-    """One peel step: certified subset of >= 2n'/3 vertices, a sparse cut
-    (local side, crossing count), or None when the machinery is stuck."""
+    """One peel step: certified subset of >= 2n'/3 vertices, or a sparse cut
+    (local side, crossing count).  Stuck machinery certifies the whole
+    connected remainder with the floor the gate measured; it holds > 3n/4
+    of the caller's vertices."""
     n = cur_g.n
     if n <= ORACLE_LIMIT:
         return _tiny_step(cur_g, budget_left)
@@ -291,14 +281,26 @@ def _expander_step(cur_g, r, budget_left, still_needed):
                 bridges, key=lambda t: (min(t[2], n - t[2]), -t[0])
             )
             return (_small_side(subtree_side(cur_g, eid, child), n), 1)
-    if budget_left < 2 or n < MACHINERY_FLOOR:
-        return None  # certify via the caller's measured fallback
-    q_eff = 1
-    while q_eff < r and n >= N0 ** (q_eff + 1):
-        q_eff += 1
-    if q_eff == 1:
-        return _base_step(cur_g, budget_left)
-    return _rec_step(cur_g, q_eff, budget_left)
+    if budget_left >= 2 and n >= MACHINERY_FLOOR:
+        q_eff = 1
+        while q_eff < r and n >= N0 ** (q_eff + 1):
+            q_eff += 1
+        if q_eff == 1:
+            step = _base_step(cur_g, budget_left)
+        else:
+            step = _rec_step(cur_g, q_eff, budget_left)
+        if step is not None:
+            return step
+    return _certify_whole(n, half, "fallback-measured")
+
+
+def _certify_whole(n, psi, detail):
+    """Certify a connected graph on range(n) with its measured floor psi
+    (``certified_floor`` of it: exact below the oracle limit, Cheeger
+    above)."""
+    if psi <= 0:
+        raise InternalInvariantBroken("connected graph measured non-expanding")
+    return CertifiedSubset(frozenset(range(n)), psi, detail)
 
 
 def _tiny_step(cur_g, budget_left):
@@ -307,9 +309,7 @@ def _tiny_step(cur_g, budget_left):
     best, psi = brute_force_extremum(cur_g, "sparsity")
     if best.delta <= budget_left:
         return (_small_side(best.side, n), best.delta)
-    if psi > 0:
-        return CertifiedSubset(frozenset(range(n)), psi, "oracle")
-    return None
+    return _certify_whole(n, psi, "oracle")
 
 
 def _ell_ladder(n):

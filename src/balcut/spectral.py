@@ -1,14 +1,17 @@
 """Deterministic spectral certificates.
 
 ``lambda2_normalized`` computes the second-smallest eigenvalue of the
-normalized Laplacian with the Lanczos three-term recurrence from a fixed
-start vector, so runs are reproducible.  Each new vector is deflated
-against the kernel vector D^{1/2} 1, and only two vectors are kept: O(n)
-memory, O(m) time per step.  No reorthogonalization is needed: lost
-orthogonality only adds copies of Ritz values that have converged, and the
-extreme Ritz value still converges to working accuracy (Paige, 1980).  By
-Cheeger's inequality ``Phi(G) >= lambda2 / 2``, and since ``Psi_G(S) >=
-Phi_G(S)`` for every cut, the same value lower-bounds graph sparsity.
+normalized Laplacian L = I - S, S = D^{-1/2} A D^{-1/2}, with the Lanczos
+three-term recurrence on S from a fixed start vector, so runs are
+reproducible.  S is the scaled incidence CSR: its matvec sums parallel
+slots and counts a loop twice.  A step is one sparse matvec, one new vector
+and in-place level-1 BLAS updates that also deflate it against the kernel
+vector v1 = D^{1/2} 1; a call keeps q, prev, w, v1 and S: O(n + m) memory,
+O(m) time per step.  No reorthogonalization is needed: lost orthogonality
+only adds copies of Ritz values that have converged, and the extreme Ritz
+value still converges to working accuracy (Paige, 1980).  By Cheeger's
+inequality ``Phi(G) >= lambda2 / 2``, and since ``Psi_G(U) >= Phi_G(U)``
+for every cut U, the same value lower-bounds graph sparsity.
 
 ``cheeger_floor`` is the one rounding policy: lambda2/2 rounded down to a
 multiple of 2^-30, as a ``Fraction``.  ``certified_floor`` is the one
@@ -18,6 +21,7 @@ floor above it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -62,45 +66,41 @@ def lambda2_normalized(g: MultiGraph) -> float:
     n = g.n
     if n < 2 or g.m == 0 or not is_connected(g):
         return 0.0
-    deg = g.deg.astype(np.float64)
-    a = adjacency_matrix(g)
-    dinv = 1.0 / np.sqrt(deg)
+    from scipy.linalg import eigh_tridiagonal
+    # scipy's BLAS only: numpy links a second OpenBLAS, and two thread pools thrash.
+    from scipy.linalg.blas import daxpy, ddot, dscal
 
-    def matvec(x: np.ndarray) -> np.ndarray:
-        return x - dinv * (a @ (dinv * x))
-
-    # Exact kernel vector of the normalized Laplacian: D^{1/2} 1.
-    v1 = np.sqrt(deg)
+    v1 = np.sqrt(g.deg)
+    dinv = 1.0 / v1
+    s = incidence_csr(g)
+    s.data = np.repeat(dinv, g.deg)
+    s.data *= dinv[s.indices]
     v1 /= np.linalg.norm(v1)
-
     q = _start_vector(n)
     q -= v1 * (v1 @ q)
     q /= np.linalg.norm(q)
-
-    from scipy.linalg import eigh_tridiagonal
 
     steps = min(LANCZOS_MAX_STEPS, n - 1)
     prev, beta = np.zeros(n), 0.0
     alphas: list[float] = []
     betas: list[float] = []
     for k in range(steps):
-        w = matvec(q)
-        alphas.append(float(q @ w))
-        w -= alphas[-1] * q
-        w -= beta * prev
-        w -= v1 * (v1 @ w)
-        beta = float(np.linalg.norm(w))
+        w = s @ q
+        w = daxpy(prev, w, a=-beta)
+        alphas.append(ddot(q, w))
+        w = daxpy(q, w, a=-alphas[-1])
+        w = daxpy(v1, w, a=-ddot(v1, w))
+        beta = math.sqrt(ddot(w, w))
         last = beta < 1e-14 or k == steps - 1
         if last or k % 8 == 7:
             evals, evecs = eigh_tridiagonal(
-                np.array(alphas), np.array(betas),
+                1.0 - np.array(alphas), np.array(betas),
                 select="i", select_range=(0, 0),
             )
             if last or beta * abs(float(evecs[-1, 0])) < LANCZOS_TOL:
                 return max(float(evals[0]), 0.0)
         betas.append(beta)
-        prev, q = q, w / beta
-    return 0.0
+        prev, q = q, dscal(1.0 / beta, w)
 
 
 def cheeger_floor(g: MultiGraph) -> Fraction:

@@ -1,4 +1,4 @@
-"""Micro-benchmarks of ``lambda2_normalized`` on three inputs.
+"""Micro-benchmarks of ``lambda2_normalized`` on five inputs.
 
 Not collected by the default ``test_*.py`` pattern; run them with
 
@@ -8,7 +8,14 @@ Not collected by the default ``test_*.py`` pattern; run them with
   relabelled at seed 1, the input of that ``perfbench`` workload;
 - ``decompose_planted``: the four bridged 1000-vertex blocks of that
   workload at seed 1, a graph with a small spectral gap;
-- ``grid64``: the 64 x 64 grid, the slowest of the three to converge.
+- ``grid64``: the 64 x 64 grid, the slowest of the five to converge;
+- ``decompose_cluster``: the first certified 1000-vertex cluster whose
+  floor ``decompose_planted``'s op at seed 1 measures;
+- ``sparsest_remainder``: the 304-vertex remainder that the cut player
+  certifies in ``sparsest_planted``'s op at seed 1.
+
+On the last two, the per-step work besides the sparse matvec weighs as
+much as the matvec itself.
 
 Besides the pytest-benchmark timings, each test prints the Lanczos step
 count, the seconds of one plain call and the ``tracemalloc`` peak of
@@ -23,11 +30,16 @@ from pathlib import Path
 import pytest
 import scipy.linalg
 
+from balcut import spectral
 from balcut.graph import MultiGraph
 from balcut.spectral import lambda2_normalized
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import CertifyExpander, DecomposePlanted  # noqa: E402
+from workloads import (  # noqa: E402
+    CertifyExpander,
+    DecomposePlanted,
+    SparsestPlanted,
+)
 
 
 def _grid(side):
@@ -36,10 +48,30 @@ def _grid(side):
     return MultiGraph(side * side, edges)
 
 
+def _measured_in(workload, n):
+    """The first n-vertex graph whose lambda2 the workload's op at seed 1
+    asks for."""
+    seen = []
+    real = spectral.lambda2_normalized
+
+    def spy(g):
+        seen.append(g)
+        return real(g)
+
+    spectral.lambda2_normalized = spy
+    try:
+        workload.solve(workload.setup(1))
+    finally:
+        spectral.lambda2_normalized = real
+    return next(g for g in seen if g.n == n)
+
+
 INPUTS = {
     "certify_expander": lambda: CertifyExpander().setup(1).g,
     "decompose_planted": lambda: DecomposePlanted().setup(1).g,
     "grid64": lambda: _grid(64),
+    "decompose_cluster": lambda: _measured_in(DecomposePlanted(), 1000),
+    "sparsest_remainder": lambda: _measured_in(SparsestPlanted(), 304),
 }
 
 

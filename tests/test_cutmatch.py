@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from balcut import cutmatch
+from balcut import cutmatch, spectral
 from balcut.cutmatch import (
     BalancedCutMove,
     CertifiedSubset,
@@ -23,7 +23,7 @@ from balcut.errors import (
     RoundCapExceeded,
 )
 from balcut.expanders import construct_expander
-from balcut.generators import random_regularish_graph
+from balcut.generators import cycle_graph, random_regularish_graph
 from balcut.graph import (
     MultiGraph,
     connected_components,
@@ -195,6 +195,27 @@ def test_base_step_routes_then_extracts(monkeypatch):
     assert res.detail == "fallback-measured"
     assert res.psi == Fraction(114595, 33554432)
     assert res.side == frozenset(range(200))
+
+
+def test_stuck_remainder_runs_lanczos_once_per_call(monkeypatch):
+    """The fallback certificate reuses the floor the spectral gate measured
+    on the same remainder; nothing is kept between calls."""
+    sizes = []
+    real = spectral.lambda2_normalized
+
+    def spy(g):
+        sizes.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(spectral, "lambda2_normalized", spy)
+    g = cycle_graph(300)
+    res = cut_or_certify(g, 1)
+    assert res == CertifiedSubset(
+        frozenset(range(300)), Fraction(7359, 67108864), "fallback-measured"
+    )
+    assert sizes == [300]
+    assert cut_or_certify(g, 1) == res
+    assert sizes == [300, 300]
 
 
 def test_extract_expander_trivial_identity():

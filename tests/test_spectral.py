@@ -52,6 +52,27 @@ def test_lanczos_on_random_graphs():
         assert lambda2_normalized(g) == pytest.approx(dense_lambda2(g), abs=1e-8)
 
 
+def _loopy_multigraph(n, seed):
+    """A random tree, whose leaves have degree 1, plus parallel copies of
+    some edges and self-loops on some vertices that have a child."""
+    rng = random.Random(seed)
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    edges += rng.sample(edges, n // 3) * rng.choice((1, 2))
+    inner = sorted({u for _, u in edges[: n - 1]})
+    edges += [(v, v) for v in rng.sample(inner, max(1, len(inner) // 3))]
+    rng.shuffle(edges)
+    return MultiGraph(n, edges)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_lanczos_sums_parallel_slots_and_loops(seed):
+    g = _loopy_multigraph(20 + 4 * seed, seed)
+    assert 1 in g.degrees()
+    assert len(set(g.edges)) < g.m
+    assert g.has_self_loops
+    assert lambda2_normalized(g) == pytest.approx(dense_lambda2(g), abs=1e-8)
+
+
 def test_disconnected_gives_zero():
     assert lambda2_normalized(MultiGraph(4, [(0, 1), (2, 3)])) == 0.0
 
