@@ -92,8 +92,10 @@ def iterations_final_cut(
         return cut_or_certify(h, r)
 
     def matcher(a_half: list[int], b_half: list[int], rnd: int, final: bool):
-        a_real = [v for v in a_half if v < n]
-        b_real = [v for v in b_half if v < n]
+        a_real, b_real = a_half, b_half
+        if n % 2:  # only an odd host pads its halves, with vertex n
+            a_real = [v for v in a_half if v < n]
+            b_real = [v for v in b_half if v < n]
         matched: dict[tuple[int, int], list[int] | None] = {}
         pair_of: dict[int, int] = {}
         if a_real and b_real:

@@ -20,32 +20,34 @@ over every slot counts.
 Pulses (the synchronous push-relabel of Goldberg and Tarjan): a run on a
 solver it builds itself, as each matcher call of the cut-matching game
 makes, starts in pulses while at least ``PULSE_WIDTH`` vertices hold
-excess below the height cap.  A pulse is a few numpy passes over those
-vertices' slots.  Each vertex spreads its excess at the pulse's start over
-its admissible slots in slot order (a segmented cumulative sum).  One that
-keeps some of it has saturated them all and is relabelled to one above
-its lowest residual neighbour, read with the residuals after the pushes
-and the levels before the pulse.  Then the gap rule applies at the lowest
-level the relabels emptied.  This is valid push-relabel: the two ends of
-an edge are never both admissible (their levels would each be one below
-the other), so no two pushes meet on an edge; a neighbour's level only
-rises, so a relabel read off the levels before the pulse leaves every
-label valid even when the neighbour relabels in the same pulse; and mass
-never drops below a sink, so a vertex below its sink stays at level 0.
-The level-cut argument at the end needs only valid labels and all excess
-at the cap, so the recounts below hold unchanged.  Once fewer vertices
-hold excess, the state is loaded once into the slot-by-slot solver,
-which finishes the run: wide lock-step sweeps, where every vertex
-relabels level by level, go at array speed, and a narrow tail does not
-pay a pass over arrays per push.  ``work`` adds per pulsed vertex what a
-slot-by-slot discharge from its first slot counts, so it paces the early
-level-cut checks across the handoff.  ``PULSE_WIDTH`` = 2,048 was the
-fastest width on the five matcher calls of a four-block planted
-decomposition under a seeded vertex relabelling: their summed times
-were about 10 % below those at 1,024 and 20 % below those at 4,096, and
-every width from 256 to 4,096 beat the slot-by-slot run alone.  The
-trimming rounds of ``expander_prune`` share one solver and run slot by
-slot.
+excess below the height cap.  A pulse is a few numpy passes over a view of
+those vertices' slots, gathered once per active set (a lock-step sweep
+keeps every source active, so its pulses share one view).  Each vertex
+spreads its excess at the pulse's start over its admissible slots in slot
+order (a segmented cumulative sum).  One that keeps some of it has
+saturated them all and is relabelled to one above its lowest residual
+neighbour, one minimum per vertex over the view, read with the residuals
+after the pushes (patched at both ends of each edge pushed on) and the
+levels before the pulse.  Then the gap rule applies at the lowest level
+the relabels emptied.  This is valid push-relabel: the two ends of an edge
+are never both admissible (their levels would each be one below the
+other), so no two pushes meet on an edge; a neighbour's level only rises,
+so a relabel read off the levels before the pulse leaves every label valid
+even when the neighbour relabels in the same pulse; and mass never drops
+below a sink, so a vertex below its sink stays at level 0.  The level-cut
+argument at the end needs only valid labels and all excess at the cap, so
+the recounts below hold unchanged.  Once fewer vertices hold excess, the
+state is loaded once into the slot-by-slot solver, which finishes the run:
+wide lock-step sweeps, where every vertex relabels level by level, go at
+array speed, and a narrow tail does not pay a pass over arrays per push.
+``work`` adds per pulsed vertex what a slot-by-slot discharge from its
+first slot counts, so it paces the early level-cut checks across the
+handoff.  ``PULSE_WIDTH`` = 2,048 was the fastest width on the five
+matcher calls of a four-block planted decomposition under a seeded vertex
+relabelling: their summed times were about 10 % below those at 1,024 and
+20 % below those at 4,096, and every width from 256 to 4,096 beat the
+slot-by-slot run alone.  The trimming rounds of ``expander_prune`` share
+one solver and run slot by slot.
 
 Gap rule (Cherkassky and Goldberg): when a relabel empties a level L,
 every vertex above L is lifted to the height cap at once.  A sink below
@@ -693,6 +695,8 @@ class _Pulses:
         self.sink = inst.sink_array
         self.count = np.array([g.n], dtype=np.int64)
         self.max_level = self.work = self.gaps = self.pulses = 0
+        self.pushed = np.zeros(g.m, dtype=bool)  # the edges a pulse pushed on
+        self.view_of = None  # the active set the slot view is of
 
     @property
     def raised(self) -> np.ndarray:
@@ -710,6 +714,28 @@ class _Pulses:
         """The vertices holding excess below the cap, ascending."""
         return np.flatnonzero((self.mass > self.sink) & (self.level < self.h))
 
+    def _view(self, active: np.ndarray) -> None:
+        """Gather the slots of ``active`` unless the last pulse's set was the
+        same: per slot its owner's index in ``active``, its edge, neighbour
+        (a dead slot's is its owner), +1 at the ``eu`` end or -1, and residual."""
+        if self.view_of is not None and np.array_equal(active, self.view_of):
+            return
+        g, self.view_of = self.g, active
+        slot, owner = incident_slots(g, active)
+        assert max(g.n, 2 * g.m) <= np.iinfo(np.int32).max
+        self.deg = deg = g.deg[active]
+        self.first = np.cumsum(deg) - deg
+        self.heads = self.first[deg > 0]  # for the relabel minimum
+        self.who = np.repeat(np.arange(len(active), dtype=np.int32), deg)
+        eid, w = g.inc[slot], g.nbr[slot]
+        if self.alive is not None:
+            w = np.where(self.alive[eid], w, owner)  # a dead slot is inert
+        self.ok = w != owner  # a self-loop or a dead slot never is
+        self.sgn = np.where(g.eu[eid] == owner, np.int8(1), np.int8(-1))
+        self.eid, self.w = eid.astype(np.int32), w.astype(np.int32)
+        self.res = self.cap - self.flow[eid] * self.sgn
+        self.lw = np.empty(len(slot), dtype=np.int64)
+
     def pulse(self, active: np.ndarray) -> None:
         """Discharge every vertex of ``active`` at once.
 
@@ -720,32 +746,24 @@ class _Pulses:
         after the pushes and the levels before the pulse.  Then the gap
         rule lifts every vertex above the lowest level the relabels
         emptied.  ``work`` adds, per vertex, what a slot-by-slot discharge
-        from its first slot counts."""
-        g, flow, level, mass = self.g, self.flow, self.level, self.mass
-        cap, h = self.cap, self.h
-        slot, owner = incident_slots(g, active)
-        deg = g.deg[active]
-        first = np.cumsum(deg) - deg  # each vertex's first entry in slot
-        who = np.repeat(np.arange(len(active)), deg)  # index into active
-        eid = g.inc[slot]
-        w = g.nbr[slot]
-        if self.alive is not None:
-            w = np.where(self.alive[eid], w, owner)  # a dead slot is inert
-        forward = g.eu[eid] == owner
-        lw = level[w]  # levels before the pulse
+        from its first slot counts.  It reads the slot view of ``active``,
+        patches the residuals at the edges it pushed on and scores the
+        relabels over the whole view."""
+        flow, level, mass, cap, h = self.flow, self.level, self.mass, self.cap, self.h
+        self._view(active)
+        eid, w, sgn, res, lw = self.eid, self.w, self.sgn, self.res, self.lw
+        np.take(level, w, out=lw)  # levels before the pulse
         old = level[active]
-        f = flow[eid]
-        res = np.where(forward, cap - f, cap + f)
         # Admissible: one level down with residual.  The two ends of an
         # edge are never both admissible, so the pushes touch each edge
         # once; a self-loop or a dead slot never is.
-        adm = np.flatnonzero((lw == old[who] - 1) & (res > 0))
+        adm = np.flatnonzero((lw == np.repeat(old - 1, self.deg)) & (res > 0))
         excess = mass[active] - self.sink[active]
         sent = np.zeros(len(active), dtype=np.int64)
         pushes = np.zeros(len(active), dtype=np.int64)
         last = np.zeros(len(active), dtype=np.int64)  # of the last push
         if adm.size:
-            r, by = res[adm], who[adm]
+            r, by = res[adm], self.who[adm]
             # residual on the vertex's earlier admissible slots
             before = np.cumsum(r) - r
             head = np.flatnonzero(np.diff(by, prepend=-1))
@@ -753,32 +771,31 @@ class _Pulses:
             amount = np.clip(excess[by] - before, 0, r)
             moved = np.flatnonzero(amount)
             adm, by, amount = adm[moved], by[moved], amount[moved]
-            flow[eid[adm]] += np.where(forward[adm], amount, -amount)
+            e = eid[adm]
+            flow[e] += amount * sgn[adm]
+            self.pushed[e] = True  # both ends' slots: a relabel reads them
+            at = np.flatnonzero(self.pushed[eid])
+            self.pushed[e] = False
+            res[at] = cap - flow[eid[at]] * sgn[at]
             np.add.at(mass, w[adm], amount)
             np.add.at(sent, by, amount)
             mass[active] -= sent
             pushes = np.bincount(by, minlength=len(active))
             tail = np.flatnonzero(np.diff(by, append=-1))
-            last[by[tail]] = adm[tail] - first[by[tail]]
+            last[by[tail]] = adm[tail] - self.first[by[tail]]
         done = sent == excess
         self.work += int(np.where(done, last + pushes,
-                                  2 * deg + 1 + pushes).sum())
+                                  2 * self.deg + 1 + pushes).sum())
         self.pulses += 1
         keep = np.flatnonzero(~done)
         if not keep.size:
             return
         # the relabels: a residual neighbour's level, else h - 1
-        own = np.flatnonzero(~done[who])
-        e = eid[own]
-        f = flow[e]
-        score = np.where(
-            (np.where(forward[own], cap - f, cap + f) > 0) & (w[own] != owner[own]),
-            np.minimum(lw[own], h - 1), h - 1)
-        d = deg[keep]
-        low = np.full(len(keep), h - 1, dtype=np.int64)
-        if score.size:
-            some = d > 0
-            low[some] = np.minimum.reduceat(score, (np.cumsum(d) - d)[some])
+        np.minimum(lw, h - 1, out=lw)
+        lw[(res <= 0) | ~self.ok] = h - 1
+        low = np.full(len(active), h - 1, dtype=np.int64)
+        low[self.deg > 0] = np.minimum.reduceat(lw, self.heads)
+        low = low[keep]
         was = old[keep]
         new = np.maximum(low, was) + 1
         level[active[keep]] = new

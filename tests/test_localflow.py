@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ import pytest
 import balcut.localflow as localflow
 from balcut.errors import InternalInvariantBroken, InvalidInput
 from balcut.generators import complete_graph, random_connected_graph
-from balcut.graph import MultiGraph, cut_stats, live_degrees, masked_subgraph
+from balcut.graph import (
+    MultiGraph,
+    cut_stats,
+    incident_slots,
+    live_degrees,
+    masked_subgraph,
+)
 from balcut.localflow import (
     FlowInstance,
     PairRouting,
@@ -1307,3 +1314,166 @@ def test_pulses_of_separate_walks_do_the_discharges_work(monkeypatch):
         assert runs[0] == runs[1]
         assert states[-2].pulses > 0 == states[-1].pulses
     assert states[-1].gaps == 1  # the last star climbs to the cap
+
+
+def _reference_pulse(p, active):
+    """The pulse as it ran before it kept a slot view: every array gathered
+    afresh from ``active``, and the relabel score gathered again over the
+    slots of the vertices that keep excess."""
+    g, flow, level, mass = p.g, p.flow, p.level, p.mass
+    cap, h = p.cap, p.h
+    slot, owner = incident_slots(g, active)
+    deg = g.deg[active]
+    first = np.cumsum(deg) - deg
+    who = np.repeat(np.arange(len(active)), deg)
+    eid = g.inc[slot]
+    w = g.nbr[slot]
+    if p.alive is not None:
+        w = np.where(p.alive[eid], w, owner)
+    forward = g.eu[eid] == owner
+    lw = level[w]
+    old = level[active]
+    f = flow[eid]
+    res = np.where(forward, cap - f, cap + f)
+    adm = np.flatnonzero((lw == old[who] - 1) & (res > 0))
+    excess = mass[active] - p.sink[active]
+    sent = np.zeros(len(active), dtype=np.int64)
+    pushes = np.zeros(len(active), dtype=np.int64)
+    last = np.zeros(len(active), dtype=np.int64)
+    if adm.size:
+        r, by = res[adm], who[adm]
+        before = np.cumsum(r) - r
+        head = np.flatnonzero(np.diff(by, prepend=-1))
+        before -= np.repeat(before[head], np.diff(head, append=len(by)))
+        amount = np.clip(excess[by] - before, 0, r)
+        moved = np.flatnonzero(amount)
+        adm, by, amount = adm[moved], by[moved], amount[moved]
+        flow[eid[adm]] += np.where(forward[adm], amount, -amount)
+        np.add.at(mass, w[adm], amount)
+        np.add.at(sent, by, amount)
+        mass[active] -= sent
+        pushes = np.bincount(by, minlength=len(active))
+        tail = np.flatnonzero(np.diff(by, append=-1))
+        last[by[tail]] = adm[tail] - first[by[tail]]
+    done = sent == excess
+    p.work += int(np.where(done, last + pushes, 2 * deg + 1 + pushes).sum())
+    p.pulses += 1
+    keep = np.flatnonzero(~done)
+    if not keep.size:
+        return
+    own = np.flatnonzero(~done[who])
+    e = eid[own]
+    f = flow[e]
+    score = np.where(
+        (np.where(forward[own], cap - f, cap + f) > 0) & (w[own] != owner[own]),
+        np.minimum(lw[own], h - 1), h - 1)
+    d = deg[keep]
+    low = np.full(len(keep), h - 1, dtype=np.int64)
+    if score.size:
+        some = d > 0
+        low[some] = np.minimum.reduceat(score, (np.cumsum(d) - d)[some])
+    was = old[keep]
+    new = np.maximum(low, was) + 1
+    level[active[keep]] = new
+    below = new[new < h]
+    size = max(len(p.count), int(below.max()) + 1 if below.size else 0)
+    count = np.zeros(size, dtype=np.int64)
+    count[:len(p.count)] = p.count
+    count += np.bincount(below, minlength=size)
+    count -= np.bincount(was, minlength=size)
+    emptied = was[count[was] == 0]
+    if emptied.size:
+        gap = int(emptied.min())
+        level[(level > gap) & (level < h)] = h
+        count = count[:gap]
+        p.max_level = h
+        p.gaps += 1
+    else:
+        p.max_level = max(p.max_level, int(new.max()))
+    p.count = count
+
+
+_PULSE_ARRAYS = ("flow", "level", "mass", "count")
+_PULSE_COUNTERS = ("max_level", "work", "gaps", "pulses")
+
+
+@pytest.fixture
+def checked_pulses(monkeypatch):
+    """Runs ``_reference_pulse`` on a copy of the state beside every pulse
+    and asserts the same state after both; records each pulse's active set
+    and counts what the pulses met."""
+    seen, actives = Counter(), []
+    real = localflow._Pulses.pulse
+
+    def checked(self, active):
+        ref = SimpleNamespace(
+            g=self.g, alive=self.alive, cap=self.cap, h=self.h, sink=self.sink,
+            **{k: getattr(self, k).copy() for k in _PULSE_ARRAYS},
+            **{k: getattr(self, k) for k in _PULSE_COUNTERS})
+        who, flow, gaps = getattr(self, "who", None), self.flow.copy(), self.gaps
+        real(self, active)
+        _reference_pulse(ref, active)
+        for k in _PULSE_ARRAYS:
+            assert np.array_equal(getattr(self, k), getattr(ref, k)), k
+        assert [getattr(self, k) for k in _PULSE_COUNTERS] == [
+            getattr(ref, k) for k in _PULSE_COUNTERS]
+        reused = self.who is who
+        actives.append((active.tolist(), reused))
+        g, eid = self.g, self.eid
+        seen["pulses"] += 1
+        seen["reused views" if reused else "rebuilt views"] += 1
+        seen["alive masks"] += self.alive is not None
+        seen["self-loops"] += bool((g.eu[eid] == g.ev[eid]).any())
+        seen["pushes"] += not np.array_equal(self.flow, flow)
+        seen["gaps"] += self.gaps > gaps
+
+    monkeypatch.setattr(localflow._Pulses, "pulse", checked)
+    return seen, actives
+
+
+def test_pulses_match_the_reference_pulse(monkeypatch, checked_pulses):
+    # Every pulse of the one-pass corpus, at widths 1 and 4, leaves the
+    # state the reference pulse leaves: flows, levels, masses, per-level
+    # counts and counters.  The pulses reuse views and rebuild them, run
+    # under live-edge masks and over self-loops, and push and open gaps.
+    seen, _ = checked_pulses
+    for width in (1, 4):
+        monkeypatch.setattr(localflow, "PULSE_WIDTH", width)
+        for inst, kw in _one_pass_corpus():
+            bounded_push_relabel(inst, **kw)
+    assert all(seen[k] >= 20 for k in ("reused views", "rebuilt views", "alive masks",
+                                        "self-loops", "pushes", "gaps")), seen
+
+
+def test_a_pulse_rebuilds_the_view_for_new_members(monkeypatch, checked_pulses):
+    # A unit walks down the path 0-1-2-3: vertex 0 relabels, then pushes to
+    # 1, which is then the only active vertex.  The active set keeps its
+    # length but changes its member, so the view must be rebuilt.
+    monkeypatch.setattr(localflow, "PULSE_WIDTH", 1)
+    _, actives = checked_pulses
+    g = MultiGraph(4, [(0, 1), (1, 2), (2, 3)])
+    inst = FlowInstance(g, [1, 0, 0, 0], [0, 0, 0, 1], Fraction(1),
+                        check_degree_caps=False)
+    pf, excess, cut = bounded_push_relabel(inst)
+    assert excess == 0 and pf.mass == [0, 0, 0, 1]
+    assert actives[:4] == [([0], False), ([0], True), ([1], False), ([1], True)]
+
+
+def test_a_relabel_reads_the_residual_a_neighbour_pushed_back(monkeypatch,
+                                                              checked_pulses):
+    # On the path x-w-u, w pushes its 4 units to u and saturates their edge;
+    # then x saturates x-w and climbs to the cap, and u relabels to 2.  In
+    # the fourth pulse u pushes the units back to w, which cannot pass them
+    # on and relabels in the same pulse: the edge to u is residual again
+    # only after that push, so w must climb to 3, not to the cap.  The
+    # residual must be patched at both ends' slots of a pushed edge.  The
+    # edge y-z keeps level 1 occupied, so no gap in that pulse hides the
+    # difference.
+    monkeypatch.setattr(localflow, "PULSE_WIDTH", 1)
+    _, actives = checked_pulses
+    g = MultiGraph(6, [(0, 1), (1, 2), (3, 4)])
+    inst = FlowInstance(g, [8, 4, 0, 1, 0, 0], [0, 0, 0, 0, 1, 12], Fraction(1),
+                        check_degree_caps=False)
+    pf, excess, cut = bounded_push_relabel(inst)
+    assert [a for a, _ in actives[:4]] == [[0, 1, 3], [0, 1, 3], [0, 2], [1, 2]]
+    assert pf.level[:4] == [inst.height_cap] * 3 + [1]
