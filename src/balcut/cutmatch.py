@@ -338,13 +338,10 @@ def _base_step(cur_g, budget_left):
             per_family, path_of = outcome
             witness.add_round([p for pairs in per_family for p in pairs], path_of)
         else:
-            got = _try_extract(cur_g, witness, psi_star)
-            if got is not None:
-                return got
-            if len(witness.fake_edges) <= len(matchings) * z:
-                # The fake count is already at its floor; a longer ell cannot
-                # shrink it, so extraction will keep failing its budget.
-                return None
+            # Each family is one pair and a routing leaves at most z of them
+            # fake, so the fake count is at its floor: a longer ell cannot
+            # shrink it, and extraction would fail its budget again.
+            return _try_extract(cur_g, witness, psi_star)
     return None
 
 
@@ -488,10 +485,7 @@ def _routed_matchings(cur_g, fam_pairs, z, ell, budget_left):
     Returns ("cut", (side, delta)) when the matcher surfaces an acceptable
     host cut, (per_family_pairs, path_of) on success, None when stuck.
     """
-    try:
-        fam = PairFamily.of(fam_pairs)
-    except InvalidInput:
-        return None
+    fam = PairFamily.of(fam_pairs)
     try:
         res = route_or_cut(cur_g, fam, z, ell)
     except DiagnosticFailure:
@@ -565,8 +559,7 @@ def cmg_drive(
         if not isinstance(answer, dict):
             return answer  # the matcher surfaced a host cut
         _check_matching(a_half, b_half, answer, final)
-        witness.add_round(list(answer.keys()),
-                          {k: v for k, v in answer.items() if v is not None})
+        witness.add_round(list(answer.keys()), answer)
         trace.append(len(answer))
         if final:
             side = frozenset(move.side)

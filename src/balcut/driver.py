@@ -260,29 +260,22 @@ def bal_cut_prune(g: MultiGraph, phi, r: int) -> BalCutPruneResult:
             x_can = make_canonical(red, ~acc, in_x)
             y_can = ~acc & ~x_can
             small = min(x_can, y_can, key=np.count_nonzero)  # ties: x_can
+            # A side empties only if the other holds at most half of every
+            # cluster; the cut is then no sparser than the sparsest cluster
+            # expander, above 1/4 >= psi for every size (brute force to 16
+            # vertices, Fiedler's bound to 64, Gabber-Galil above).
             if not small.any():
-                report["notes"].append("canonicalization emptied a side")
-                if g.n <= ORACLE_LIMIT:
-                    return _oracle_drive(g, phi, report)
-                break
+                raise InternalInvariantBroken("canonicalization emptied a side")
             acc |= small
             continue
         # witness branch: contract back, prune the fake edges
         rounds_total += outcome.rounds
         result = _witness_case(g, red, members, outcome, phi, report)
-        if result is not None:
-            mode, payload = result
-            if mode == "done":
-                return payload
-            if mode == "peel":
-                acc |= payload
-                corrections += 1
-                report["corrections"] = corrections
-                continue
-        report["notes"].append("witness case failed")
-        if g.n <= ORACLE_LIMIT:
-            return _oracle_drive(g, phi, report)
-        break
+        if isinstance(result, BalCutPruneResult):
+            return result
+        acc |= result
+        corrections += 1
+        report["corrections"] = corrections
 
     orig_a = project_cut(red, ~acc)
     report["rounds"] = rounds_total
@@ -291,35 +284,12 @@ def bal_cut_prune(g: MultiGraph, phi, r: int) -> BalCutPruneResult:
                    frozenset(np.flatnonzero(~orig_a).tolist()), phi, None, report)
 
 
-def _oracle_drive(g: MultiGraph, phi: Fraction, report: dict) -> BalCutPruneResult:
-    """Exact stall fallback below the oracle limit.
-
-    Peels the brute-force minimum-conductance cut's smaller-volume side
-    until the remainder certifies at phi or the peeled volume reaches a
-    third; each peel contributes at most phi times its volume in edges, so
-    the total stays below phi * Vol(G).
-    """
-    vol = g.volume()
-    acc: set[int] = set()
-    while True:
-        rest = sorted(set(range(g.n)) - acc)
-        sub, idx = induced_subgraph(g, rest)
-        if sub.n < 2 or 3 * g.volume(acc) >= vol:
-            break
-        worst, val = brute_force_extremum(sub, "conductance")
-        if val >= phi:
-            break
-        side = worst.side if worst.vol_s <= worst.vol_comp else (
-            frozenset(range(sub.n)) - worst.side
-        )
-        acc.update(idx[v] for v in side)
-    report.setdefault("notes", []).append("oracle-driven stall fallback")
-    a = frozenset(range(g.n)) - acc
-    return _finish(g, a, frozenset(acc), phi, None, report)
-
-
 def _witness_case(g, red, members, wr: WitnessResult, phi, report):
-    """Case 2 of the driver: contract clusters, prune fakes, verify."""
+    """Case 2 of the driver: contract clusters, prune fakes, verify.
+
+    Returns the finished result, or the canonical hat mask of a sub-phi
+    cut that the oracle found in the core, for the caller to peel.
+    """
     cluster = red.owner[members].tolist()
     u_orig = sorted(set(cluster))
     sub_g, idx_g = induced_subgraph(g, u_orig)
@@ -341,15 +311,13 @@ def _witness_case(g, red, members, wr: WitnessResult, phi, report):
     b_local: frozenset[int] = frozenset()
     if fake_ids and phi_gpp > 0:
         try:
-            a_local, b_local = expander_prune(contracted, phi_gpp, fake_ids)
+            _, b_local = expander_prune(contracted, phi_gpp, fake_ids)
         except (BudgetExceeded, InternalInvariantBroken) as exc:
             report["notes"].append(f"fake-edge pruning unavailable: {exc}")
-            b_local = frozenset()
+    # expander_prune never returns an empty A, so a_orig is nonempty.
     a_orig = frozenset(idx_g[v] for v in range(sub_g.n)) - frozenset(
         idx_g[v] for v in b_local
     )
-    if not a_orig:
-        return None
     core, idx_core = induced_subgraph(g, a_orig)
     cert = certified_floor(core, "conductance")
     if core.n <= ORACLE_LIMIT and cert < phi:
@@ -360,16 +328,15 @@ def _witness_case(g, red, members, wr: WitnessResult, phi, report):
         side = worst.side if worst.vol_s <= worst.vol_comp else (
             frozenset(range(core.n)) - worst.side
         )
-        peel = lift_cut(red, _side_mask(g.n, [idx_core[v] for v in side]))
-        if not peel.any():
-            return None
-        return ("peel", peel)
+        # a nonempty mask: side is nonempty, and so is every cluster of
+        # the connected g (m >= 1)
+        return lift_cut(red, _side_mask(g.n, [idx_core[v] for v in side]))
     b_orig = frozenset(range(g.n)) - a_orig
     rep = dict(report)
     rep["witness_psi"] = str(wr.psi_witness)
     rep["witness_congestion"] = wr.congestion
     rep["witness_fakes"] = wr.fake_count
-    return ("done", _finish(g, a_orig, b_orig, phi, cert, rep))
+    return _finish(g, a_orig, b_orig, phi, cert, rep)
 
 
 def _finish(g, a_side, b_side, phi, cert, report):
@@ -381,14 +348,10 @@ def _finish(g, a_side, b_side, phi, cert, report):
     if vol_a < vol_b:
         a_side, b_side = b_side, a_side
         vol_a, vol_b = vol_b, vol_a
-    if 3 * vol_a >= vol and 3 * vol_b >= vol:
+    if 3 * vol_b >= vol:  # then vol_a >= vol_b holds a third too
         branch = "balanced"
     else:
-        branch = "pruned"
-        if 12 * vol_a < 7 * vol:
-            report.setdefault("notes", []).append(
-                f"pruned branch volume {vol_a} below 7/12 of {vol}"
-            )
+        branch = "pruned"  # vol_a is above 2/3 of vol
         if cert is None:
             core, _ = induced_subgraph(g, a_side)
             cert = certified_floor(core, "conductance")
@@ -595,7 +558,8 @@ def _best_singleton_cut(g: MultiGraph, objective: str) -> Cut:
 
 
 def _fiedler_sweep_cut(g: MultiGraph, objective: str) -> Cut | None:
-    """Best prefix cut along an approximate Fiedler ordering.
+    """Best prefix cut along an approximate Fiedler ordering of a
+    connected graph.
 
     The ordering comes from 200 steps of power iteration on 2I - L from the
     fixed start vector, deflated against the kernel vector D^{1/2} 1.
@@ -604,11 +568,9 @@ def _fiedler_sweep_cut(g: MultiGraph, objective: str) -> Cut | None:
 
     from .spectral import adjacency_matrix, _start_vector
 
-    if g.n < 3 or g.m == 0:
+    if g.n < 3:
         return None
     deg = g.deg.astype(np.float64)
-    if deg.min() <= 0:
-        return None
     a = adjacency_matrix(g)
     dinv = 1.0 / np.sqrt(deg)
     lap = sp.eye(g.n) - sp.diags(dinv) @ a @ sp.diags(dinv)

@@ -102,13 +102,12 @@ class ESTree:
                 self._repair(w)
 
     def _repair(self, seed: int) -> None:
+        # Every entry is a detached non-root vertex at its current level: a
+        # vertex is pushed only as it detaches (the root never does), so it
+        # is queued at most once, and only a popped vertex changes level.
         heap = [(self._level[seed], seed)]
         while heap:
             lvl, w = heapq.heappop(heap)
-            if lvl != self._level[w] or w == self.root:
-                continue
-            if self.parent_edge[w] != -1:
-                continue  # reattached by an earlier pop
             if self._try_attach(w):
                 continue
             # No neighbor one level up: w sinks one level deeper, and the

@@ -624,13 +624,3 @@ def path_congestion(g: MultiGraph, paths) -> int:
             raise InvalidInput(f"path uses a non-edge {key}")
         worst = max(worst, -(-cnt // k))
     return worst
-
-
-def graph_conductance(g: MultiGraph) -> Fraction:
-    """Brute-force Phi(G); only valid up to the oracle limit."""
-    return brute_force_extremum(g, "conductance")[1]
-
-
-def graph_sparsity(g: MultiGraph) -> Fraction:
-    """Brute-force Psi(G); only valid up to the oracle limit."""
-    return brute_force_extremum(g, "sparsity")[1]

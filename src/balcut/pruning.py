@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,9 +53,7 @@ from .graph import (
     _distinct,
     _index_array,
     _integer_array,
-    _side_mask,
     incident_slots,
-    masked_subgraph,
 )
 from .localflow import FlowInstance, _PushRelabel, bounded_push_relabel
 
@@ -201,13 +199,3 @@ def _recount(g, phi, dead, in_b, k) -> None:
             f"pruned volume {vol_b} exceeds 8k/phi = "
             f"{float(8 * k / phi):.2f}; {_PREMISE}"
         )
-
-
-def pruned_subgraph(
-    g: MultiGraph, deleted: Sequence[int], a_side: Iterable[int]
-) -> tuple[MultiGraph, list[int]]:
-    """(g - deleted)[A] with its index map, for certificate checks."""
-    alive = np.ones(g.m, dtype=bool)
-    alive[_index_array(deleted)] = False
-    sub, verts = masked_subgraph(g, _side_mask(g.n, a_side), alive)
-    return sub, verts.tolist()

@@ -46,8 +46,6 @@ from balcut.graph import (
     bfs_levels,
     brute_force_extremum,
     cut_edge_count,
-    graph_conductance,
-    graph_sparsity,
     induced_subgraph,
     path_congestion,
 )
@@ -58,9 +56,10 @@ from balcut.localflow import (
     decompose_preflow,
     route_or_cut_1pair,
 )
-from balcut.pruning import expander_prune, pruned_subgraph
+from balcut.pruning import expander_prune
 from balcut.routing import PairFamily, PartialRouting, log2ceil, route_or_cut
 from balcut.spectral import adjacency_matrix, lambda2_normalized
+from oracles import graph_conductance, graph_sparsity, pruned_subgraph
 
 
 def _stamp(name: str, t0: float, budget: float, extra: str = "") -> None:

@@ -32,10 +32,9 @@ from balcut.graph import (
     brute_force_extremum,
     cut_edge_count,
     cut_stats,
-    graph_conductance,
-    graph_sparsity,
     induced_subgraph,
 )
+from oracles import graph_conductance, graph_sparsity, pruned_subgraph
 
 
 def check_bcp(g, phi, res: BalCutPruneResult):
@@ -223,6 +222,9 @@ def test_sparsest_cut_exact_families():
     res = sparsest_cut(complete_graph(6), 1)
     assert res.value == graph_sparsity(complete_graph(6))
 
+    # two vertices: no sweep ordering to scan
+    assert sparsest_cut(MultiGraph(2, [(0, 1)]), 1).value == 1
+
 
 def test_sparsest_cut_factor_validity_on_corpus():
     worst = 0.0
@@ -243,6 +245,7 @@ def test_lowest_conductance_families():
     assert res.value == Fraction(1, 7)
     res = lowest_conductance_cut(complete_graph(4), 1)
     assert res.value == Fraction(2, 3)
+    assert lowest_conductance_cut(MultiGraph(2, [(0, 1)]), 1).value == 1
 
 
 def test_lowest_conductance_factor_validity():
@@ -382,3 +385,185 @@ def test_no_subgraph_copies_a_whole_vertex_set(monkeypatch):
     dec = expander_decomposition(g, Fraction(1, 2), 1)
     assert len(dec.clusters) == 1
     assert seen["games"] == 1 and seen["whole"] >= 5 and seen["copies"] == 0, seen
+
+
+def _chained_expanders(sizes, links):
+    """Disjoint construct_expander blocks of the given sizes, ids in block
+    order, plus one edge per ((block, offset), (block, offset)) link."""
+    edges, start = [], [0]
+    for size in sizes:
+        edges += [(u + start[-1], v + start[-1]) for u, v in construct_expander(size).edges]
+        start.append(start[-1] + size)
+    edges += [(start[i] + a, start[j] + b) for (i, a), (j, b) in links]
+    return MultiGraph(start[-1], edges)
+
+
+# K13 and a triangle joined by one edge, and the fake edges an injected
+# game result leaves between them on the reduced graph.
+_K13_TRIANGLE = MultiGraph(
+    16, list(complete_graph(13).edges) + [(13, 14), (13, 15), (14, 15), (0, 13)])
+_TRIANGLE_FAKES = [(13, 1), (14, 2), (13, 3)]
+
+
+def _injected_game(psi_witness, games):
+    """A first game that ends in a witness with four fake edges: the three
+    of _TRIANGLE_FAKES, and one joining two hat vertices of vertex 4's
+    cluster, which vanishes when clusters contract.  Later games run."""
+    from balcut.cutmatch import Witness
+
+    first = _K13_TRIANGLE.indptr  # v's first hat vertex: its first slot
+    real_game = iterations_final_cut
+
+    def game(sub, psi, z, r):
+        games.append(sub.n)
+        if len(games) > 1:
+            return real_game(sub, psi, z, r)
+        w = Witness(sub, sub.n)
+        hat_pairs = [(int(first[u]), int(first[v])) for u, v in _TRIANGLE_FAKES]
+        w.add_round(hat_pairs + [(int(first[4]), int(first[4]) + 1)], {})
+        return WitnessResult(w, psi_witness, 1, len(w.fake_edges), 1)
+
+    return game
+
+
+def test_witness_case_prunes_contracted_fake_edges(monkeypatch):
+    # Pruning the three contracted fake edges cuts the triangle off, and
+    # K13 is the certified core.
+    from balcut import driver
+    from balcut.graph import with_edges
+
+    g, fakes, body = _K13_TRIANGLE, _TRIANGLE_FAKES, complete_graph(13)
+    games = []
+
+    pruned = []
+    real_prune = driver.expander_prune
+
+    def prune(h, phi, deleted):
+        out = real_prune(h, phi, deleted)
+        pruned.append((h, phi, list(deleted), out))
+        return out
+
+    monkeypatch.setattr(driver, "iterations_final_cut",
+                        _injected_game(Fraction(1, 4), games))
+    monkeypatch.setattr(driver, "expander_prune", prune)
+    phi = Fraction(1, 2)
+    res = bal_cut_prune(g, phi, 1)
+
+    assert games == [g.volume()]
+    [(h, phi_prune, deleted, (a, b))] = pruned
+    contracted = with_edges(g, fakes)
+    assert list(zip(h.eu.tolist(), h.ev.tolist())) == list(
+        zip(contracted.eu.tolist(), contracted.ev.tolist()))
+    assert phi_prune == Fraction(1, 4) and deleted == [g.m, g.m + 1, g.m + 2]
+    assert graph_conductance(h) >= phi_prune  # the pruning premise holds
+    k = len(deleted)
+    assert b == frozenset({13, 14, 15})
+    boundary = sum(1 for eid, (u, v) in enumerate(h.edges)
+                   if eid not in deleted and (u in a) != (v in a))
+    assert boundary <= 4 * k
+    assert h.volume(b) * phi_prune <= 8 * k
+    sub, _ = pruned_subgraph(h, deleted, a)
+    assert graph_conductance(sub) >= phi_prune / 6
+
+    assert (res.branch, res.b_side, res.cut_edges) == ("pruned", b, 1)
+    assert res.certified_phi == graph_conductance(body) == Fraction(7, 12)
+    assert res.report["witness_fakes"] == 4
+    assert res.report["witness_psi"] == "1/4"
+    assert "corrections" not in res.report
+    check_bcp(g, phi, res)
+
+
+def test_witness_case_notes_a_fake_edge_budget_overrun(monkeypatch):
+    # At witness sparsity 1/8 the three fake edges exceed the pruning
+    # budget ceil(phi * m / 10) = 2.  The note says so, nothing is pruned,
+    # and the oracle's correction peels the triangle; the next game runs on
+    # K13 alone and certifies it.
+    from balcut import driver
+
+    games = []
+    monkeypatch.setattr(driver, "iterations_final_cut",
+                        _injected_game(Fraction(1, 8), games))
+    phi = Fraction(1, 2)
+    res = bal_cut_prune(_K13_TRIANGLE, phi, 1)
+    assert res.report["notes"] == [
+        "fake-edge pruning unavailable: k=3 deleted edges exceed ceil(phi*m/10)=2"]
+    assert res.report["corrections"] == 1
+    assert games == [_K13_TRIANGLE.volume(), _K13_TRIANGLE.volume(range(13))]
+    assert (res.branch, res.b_side, res.cut_edges) == ("pruned", frozenset({13, 14, 15}), 1)
+    check_bcp(_K13_TRIANGLE, phi, res)
+
+
+def test_bal_cut_prune_peels_the_smallest_component(monkeypatch):
+    # Blocks M, L, R of 40, 60 and 30 vertices, with M joined to L and to
+    # R by one edge each.  M's ids come first, so the first game's halves
+    # put M in A and its mass is stuck behind its two edges: the game cuts
+    # M off.  That leaves L and R apart, and the peel takes R, the smaller.
+    from balcut import driver
+
+    g = _chained_expanders([40, 60, 30], [((0, 0), (1, 0)), ((0, 1), (2, 0))])
+    labelled = []
+    real_labels = driver.component_labels
+
+    def labels(sub):
+        k, label = real_labels(sub)
+        labelled.append(k)
+        return k, label
+
+    monkeypatch.setattr(driver, "component_labels", labels)
+    phi = Fraction(1, 16)
+    res = bal_cut_prune(g, phi, 1)
+    assert labelled == [2]
+    assert res.branch == "balanced" and res.cut_edges == 1
+    assert res.b_side == frozenset(range(40, 100))  # L, the larger side's rest
+    check_bcp(g, phi, res)
+
+
+def test_decomposition_keeps_a_pruned_core_and_recurses_on_b(monkeypatch):
+    # Expanders on 160 and 70 vertices joined by one edge: bal_cut_prune
+    # cuts the smaller one off, then certifies the larger as a pruned core
+    # with a nonempty B, which the decomposition takes up as a new cluster.
+    from balcut import driver
+
+    g = _chained_expanders([160, 70], [((0, 0), (1, 0))])
+    results = []
+    real_bcp = driver.bal_cut_prune
+
+    def bcp(sub, phi, r):
+        res = real_bcp(sub, phi, r)
+        results.append((res.branch, len(res.b_side)))
+        return res
+
+    monkeypatch.setattr(driver, "bal_cut_prune", bcp)
+    dec = expander_decomposition(g, Fraction(1), 1)
+    assert results[0] == ("pruned", 70)
+    assert dec.clusters == [list(range(160)), list(range(160, 230))]
+    assert dec.inter_cluster_edges == 1
+    assert all(c > 0 for c in dec.certificates)
+
+
+def test_sparse_cut_or_expander_returns_the_game_cut():
+    # Three 60-vertex blocks on a path of bridges: at psi = 1 the game's
+    # matcher cuts one end block off, and sparsest_cut keeps that cut.
+    from balcut.generators import planted_expander_union
+
+    g, label = planted_expander_union([60] * 3, 4, [(0, 1), (1, 2)], 1)
+    cut = sparse_cut_or_expander(g, Fraction(1), 1, 1)
+    assert isinstance(cut, Cut)
+    assert (cut.delta, min(cut.size, g.n - cut.size)) == (1, 60)
+    assert cut.sparsity == Fraction(1, 60)
+    small = cut.side if cut.size == 60 else frozenset(range(g.n)) - cut.side
+    assert len({label[v] for v in small}) == 1
+    assert sparsest_cut(g, 1).value == Fraction(1, 60)
+
+
+@pytest.mark.parametrize("extra", [[(4, 5), (5, 6), (4, 6)], [(4, 5)]])
+def test_approximation_drivers_cut_a_component_of_a_disconnected_input(extra):
+    # K4 plus a triangle or a single edge (with vertex 6 then isolated).
+    g = MultiGraph(7, list(complete_graph(4).edges) + extra)
+    side = frozenset({4, 5, 6}) if len(extra) == 3 else frozenset({6})
+    for res, value in ((sparsest_cut(g, 1), "sparsity"),
+                       (lowest_conductance_cut(g, 1), "conductance")):
+        assert res.report == {"note": "disconnected: component cut"}
+        assert res.cut.side == side and res.cut.delta == 0
+        assert res.value == getattr(res.cut, value) == 0
+        assert (res.floor, res.factor) == (0, 1.0)

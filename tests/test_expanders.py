@@ -14,8 +14,9 @@ from balcut.expanders import (
     partition_into_matchings,
 )
 from balcut.generators import complete_graph, planted_expander_union, random_regularish_graph
-from balcut.graph import MultiGraph, brute_force_extremum, graph_sparsity, is_connected
+from balcut.graph import MultiGraph, brute_force_extremum, is_connected
 from balcut.spectral import lambda2_normalized
+from oracles import graph_sparsity
 
 
 def test_gabber_galil_structure():
@@ -69,6 +70,25 @@ def test_per_size_floor_is_certified():
     for n in (20, 40, 77):
         floor = float(expander_sparsity_floor(n))
         assert 0 < floor <= lambda2_normalized(construct_expander(n)) / 2 + 1e-9
+
+
+def test_every_cluster_expander_has_sparsity_above_a_quarter():
+    # bal_cut_prune relies on this: its canonicalized cut sides are never
+    # empty, since a cut with Psi <= psi <= 1/4 cannot lie within half of
+    # every cluster.  Exact up to the oracle limit.  Up to 64 vertices,
+    # Fiedler's bound |E(S, V-S)| >= lambda2(L) |S| |V-S| / n gives
+    # Psi >= lambda2(L) / 2 for the combinatorial Laplacian L.  From 65 on
+    # the torus side is at least 8, and Gabber-Galil's lambda <= 5 sqrt(2)
+    # (the torus's edge expansion is at least (8 - 5 sqrt(2)) / 2) proves
+    # it with the pendants counted; see CHANGES.md.
+    for d in range(2, 17):
+        assert graph_sparsity(construct_expander(d)) >= 1
+    for d in range(17, 65):
+        h = construct_expander(d)
+        lap = np.diag(h.deg.astype(float))
+        np.add.at(lap, (h.eu, h.ev), -1.0)
+        np.add.at(lap, (h.ev, h.eu), -1.0)
+        assert np.linalg.eigvalsh(lap)[1] / 2 > 0.3, d
 
 
 def test_pendant_matching_halves_sparsity_at_worst():

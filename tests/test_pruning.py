@@ -24,13 +24,13 @@ from balcut.graph import (
     _side_mask,
     brute_force_extremum,
     cut_stats,
-    graph_conductance,
     is_connected,
     live_degrees,
     masked_subgraph,
 )
 from balcut.localflow import FlowInstance, _PushRelabel
-from balcut.pruning import _recount, expander_prune, pruned_subgraph
+from balcut.pruning import _recount, expander_prune
+from oracles import graph_conductance, pruned_subgraph
 
 
 def check_contract(g, phi, dels, a, b):
