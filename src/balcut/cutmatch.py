@@ -10,9 +10,10 @@ player; the recursive case runs many parallel cut-matching games on equal
 blocks, embeds a core expander across the blocks, composes, and extracts.
 
 ``cmg_drive`` is the generic game loop: a cut player proposes balanced
-sparse cuts of the growing witness, a matcher answers with embedded perfect
-matchings (padding shortfalls with fake edges) until the cut player
-certifies or the matcher surfaces a cut of the host.
+sparse cuts of the growing witness, a matcher routes pairs across them
+until the cut player certifies or the matcher surfaces a cut of the host.
+The game's rules live here once: ``_halves`` splits a move into equal
+halves, and ``_padded`` completes a routed matching with fake edges.
 
 The cut player's one free parameter is the recursion depth r, passed to
 ``cut_or_certify``.  Hidden constants from the analysis are module
@@ -37,6 +38,7 @@ from .errors import (
     InternalInvariantBroken,
     InvalidInput,
     InvalidParam,
+    PreconditionViolated,
     RoundCapExceeded,
 )
 from .expanders import (
@@ -56,9 +58,9 @@ from .graph import (
     find_bridges,
     masked_subgraph,
     path_congestion,
-    subtree_side,
     with_edges,
 )
+from .pruning import expander_prune
 from .routing import PairFamily, PartialRouting, log2ceil, route_or_cut
 from .spectral import certified_floor, cheeger_floor
 
@@ -77,6 +79,24 @@ MACHINERY_FLOOR = 2048
 def _small_side(side, n):
     """The side of a cut of range(n) holding at most half the vertices."""
     return side if 2 * len(side) <= n else frozenset(range(n)) - side
+
+
+def _halves(a_side, b_side, n):
+    """The game's halves of a balanced move on range(n), n even: the
+    smaller side (ties go to ``a_side``) takes the other side's lowest ids
+    until it holds n // 2.  Returns (A half, B half) as lists."""
+    small, big = sorted((sorted(a_side), sorted(b_side)), key=len)
+    need = n // 2 - len(small)
+    return small + big[:need], big[need:]
+
+
+def _padded(a_ids, b_ids, matched):
+    """The game's fake edges: the routed pairs ``matched`` first, then the
+    unmatched vertices of each side joined in the given order."""
+    used_a = {u for u, _ in matched}
+    used_b = {v for _, v in matched}
+    return list(matched) + list(zip([u for u in a_ids if u not in used_a],
+                                    [v for v in b_ids if v not in used_b]))
 
 
 @dataclass(frozen=True)
@@ -102,7 +122,8 @@ class Witness:
     """The game's accumulated union of matchings with its embedding.
 
     Witness edge i is fake iff ``paths[i]`` is None; every fake edge embeds
-    exactly one witness edge (itself).
+    exactly one witness edge (itself).  An odd host plays on n = host.n + 1
+    vertices, the last one a padding vertex whose edges are all fake.
     """
 
     host: MultiGraph
@@ -113,16 +134,20 @@ class Witness:
 
     def add_round(self, pairs, path_of: dict[tuple[int, int], list[int]]):
         """Record one matching; pairs missing from ``path_of`` become fake."""
-        added = []
-        for u, v in pairs:
-            self.edges.append((u, v))
-            self.paths.append(path_of.get((u, v)))
-            added.append((u, v))
-        self.rounds.append(added)
+        pairs = list(pairs)
+        self.edges += pairs
+        self.paths += [path_of.get(p) for p in pairs]
+        self.rounds.append(pairs)
 
     @property
     def fake_edges(self) -> list[tuple[int, int]]:
         return [e for e, p in zip(self.edges, self.paths) if p is None]
+
+    @property
+    def host_fake_edges(self) -> list[tuple[int, int]]:
+        """The fake edges between host vertices: those of the padding
+        vertex dropped."""
+        return [(u, v) for u, v in self.fake_edges if max(u, v) < self.host.n]
 
     def h_graph(self) -> MultiGraph:
         return MultiGraph(self.n, self.edges)
@@ -156,8 +181,10 @@ def extract_expander(
     phi_hat = Fraction(psi) / cong / delta_aug
     if phi_hat <= 0:
         raise InvalidInput("witness sparsity floor must be positive")
-    fake_ids = list(range(g.m, g.m + len(fake)))
-    a_side, b_side = _prune_for_extract(aug, phi_hat, fake_ids)
+    if fake:
+        a_side, b_side = expander_prune(aug, phi_hat, list(range(g.m, aug.m)))
+    else:
+        a_side, b_side = frozenset(range(g.n)), frozenset()
     boundary = cut_edge_count(g, a_side)
     if boundary > 4 * max(len(fake), 1) and fake:
         raise InternalInvariantBroken("extraction boundary above 4|F|")
@@ -169,14 +196,6 @@ def extract_expander(
             )
     psi_certified = phi_hat / 6
     return a_side, b_side, psi_certified
-
-
-def _prune_for_extract(aug, phi_hat, fake_ids):
-    from .pruning import expander_prune
-
-    if not fake_ids:
-        return frozenset(range(aug.n)), frozenset()
-    return expander_prune(aug, phi_hat, fake_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +294,13 @@ def _expander_step(cur_g, r, budget_left, still_needed):
             return CertifiedSubset(frozenset(range(n)), half, "cheeger-gap")
     if budget_left >= 1:
         # The most balanced single-edge cut, found exactly.
-        bridges = find_bridges(cur_g)
+        bridges, order = find_bridges(cur_g)
         if bridges:
             eid, child, size = max(
                 bridges, key=lambda t: (min(t[2], n - t[2]), -t[0])
             )
-            return (_small_side(subtree_side(cur_g, eid, child), n), 1)
+            i = order.index(child)  # the child's DFS subtree: its side
+            return (_small_side(frozenset(order[i:i + size]), n), 1)
     if budget_left >= 2 and n >= MACHINERY_FLOOR:
         q_eff = 1
         while q_eff < r and n >= N0 ** (q_eff + 1):
@@ -312,6 +332,11 @@ def _tiny_step(cur_g, budget_left):
     return _certify_whole(n, psi, "oracle")
 
 
+class _AttemptOver(Exception):
+    """Ends an attempt at one ell early; ``args[0]`` is its result: a host
+    cut (side, delta), or None to try the next ell."""
+
+
 def _ell_ladder(n):
     base = 2 * log2ceil(n) + 4
     for attempt in range(ELL_ATTEMPTS):
@@ -325,23 +350,23 @@ def _base_step(cur_g, budget_left):
     h_exp = construct_expander(n)
     matchings = partition_into_matchings(h_exp)
     psi_star = expander_sparsity_floor(n)
+    h_edges = h_exp.edges
     for ell in _ell_ladder(n):
         witness = Witness(cur_g, n)
-        h_edges = h_exp.edges
-        for m_ids in matchings:
-            fam_pairs = [([h_edges[eid][0]], [h_edges[eid][1]]) for eid in m_ids]
-            outcome = _routed_matchings(cur_g, fam_pairs, z, ell, budget_left)
-            if outcome is None:
-                break
-            if outcome[0] == "cut":
-                return outcome[1]
-            per_family, path_of = outcome
-            witness.add_round([p for pairs in per_family for p in pairs], path_of)
-        else:
-            # Each family is one pair and a routing leaves at most z of them
-            # fake, so the fake count is at its floor: a longer ell cannot
-            # shrink it, and extraction would fail its budget again.
-            return _try_extract(cur_g, witness, psi_star)
+        try:
+            for m_ids in matchings:
+                fam_pairs = [([h_edges[eid][0]], [h_edges[eid][1]]) for eid in m_ids]
+                per_family, path_of = _routed_matchings(
+                    cur_g, fam_pairs, z, ell, budget_left)
+                witness.add_round([p for pairs in per_family for p in pairs], path_of)
+        except _AttemptOver as over:
+            if over.args[0] is None:
+                continue
+            return over.args[0]
+        # Each family is one pair and a routing leaves at most z of them
+        # fake, so the fake count is at its floor: a longer ell cannot
+        # shrink it, and extraction would fail its budget again.
+        return _try_extract(cur_g, witness, psi_star)
     return None
 
 
@@ -349,7 +374,7 @@ def _try_extract(cur_g, witness, psi_witness):
     n = cur_g.n
     try:
         a_side, _, psi_cert = extract_expander(cur_g, witness, psi_witness)
-    except (BudgetExceeded, InternalInvariantBroken):
+    except (BudgetExceeded, InternalInvariantBroken, PreconditionViolated):
         return None
     if 3 * len(a_side) >= 2 * n and psi_cert > 0:
         return CertifiedSubset(a_side, psi_cert, "extracted")
@@ -375,10 +400,6 @@ def _rec_step(cur_g, q, budget_left):
     return None
 
 
-class _AttemptOver(Exception):
-    """Ends a recursive attempt early; ``args[0]`` is its result."""
-
-
 def _rec_attempt(cur_g, sub_r, blocks, extra, z, ell, budget_left):
     n = cur_g.n
     nb = len(blocks[0])
@@ -391,14 +412,8 @@ def _rec_attempt(cur_g, sub_r, blocks, extra, z, ell, budget_left):
         return MultiGraph(nb, [(u - base, v - base) for u, v in block_edges[bi]])
 
     def play(fam_pairs):
-        """Route one round of families and record it in the witness; a
-        stuck matcher or an acceptable host cut ends the attempt."""
-        outcome = _routed_matchings(cur_g, fam_pairs, z, ell, budget_left)
-        if outcome is None:
-            raise _AttemptOver(None)
-        if outcome[0] == "cut":
-            raise _AttemptOver(outcome[1])
-        per_family, path_of = outcome
+        """Route one round of families and record it in the witness."""
+        per_family, path_of = _routed_matchings(cur_g, fam_pairs, z, ell, budget_left)
         for pairs in per_family:
             witness.add_round(pairs, path_of)
         return per_family
@@ -419,13 +434,8 @@ def _rec_attempt(cur_g, sub_r, blocks, extra, z, ell, budget_left):
                         sub.psi,
                     )
                     continue
-                a = sorted(base + v for v in sub.a_side)
-                b = sorted(base + v for v in sub.b_side)
-                if len(a) > len(b):
-                    a, b = b, a
-                while len(a) < len(b):  # pad to equal halves, lowest ids first
-                    a.append(b.pop(0))
-                fam_pairs.append((a, b))
+                a, b = _halves(sub.a_side, sub.b_side, nb)
+                fam_pairs.append(([base + v for v in a], [base + v for v in b]))
                 fam_owner.append(bi)
             if fam_pairs:
                 for pairs, bi in zip(play(fam_pairs), fam_owner):
@@ -480,26 +490,22 @@ def _rec_attempt(cur_g, sub_r, blocks, extra, z, ell, budget_left):
 
 
 def _routed_matchings(cur_g, fam_pairs, z, ell, budget_left):
-    """Route the families; perfect the matchings with fake-edge padding.
+    """Route the families; perfect each matching with fake edges.
 
-    Returns ("cut", (side, delta)) when the matcher surfaces an acceptable
-    host cut, (per_family_pairs, path_of) on success, None when stuck.
+    Returns (per_family_pairs, path_of).  A stuck matcher, or a host cut
+    over ``budget_left``, raises ``_AttemptOver(None)``; a host cut within
+    it raises ``_AttemptOver((side, delta))``.
     """
     fam = PairFamily.of(fam_pairs)
     try:
         res = route_or_cut(cur_g, fam, z, ell)
     except DiagnosticFailure:
-        return None
+        raise _AttemptOver(None) from None
     if not isinstance(res, PartialRouting):
-        if res.delta <= budget_left:
-            return ("cut", (_small_side(res.side, cur_g.n), res.delta))
-        return None
-    per_family = []
-    for (a_set, b_set), matched in zip(fam.pairs, res.matchings):
-        left_a = sorted(a_set - {u for u, _ in matched})
-        left_b = sorted(b_set - {v for _, v in matched})
-        # pad the shortfall with fake pairs, lowest ids first
-        per_family.append(list(matched) + list(zip(left_a, left_b)))
+        raise _AttemptOver((_small_side(res.side, cur_g.n), res.delta)
+                           if res.delta <= budget_left else None)
+    per_family = [_padded(sorted(a_set), sorted(b_set), matched)
+                  for (a_set, b_set), matched in zip(fam.pairs, res.matchings)]
     return per_family, dict(res.paths)
 
 
@@ -518,25 +524,30 @@ class GameResult:
 def cmg_drive(
     host: MultiGraph,
     cut_player: Callable[[MultiGraph], BalancedCutMove | CertifiedSubset],
-    matcher: Callable[[list[int], list[int], int, bool], object],
+    matcher: Callable[[list[int], list[int]], object],
     round_cap: int,
 ):
     """Run the cut-matching game on ``host``'s vertex set.
 
-    The matcher is called with (a_half, b_half, round index, is_final) and
-    returns either a ``HostCut`` (any object that is not a dict) to stop the
-    game, or a dict mapping matched pairs (a, b) to host paths (value None
-    for fake pairs); the matching must cover a_half x b_half perfectly.
+    Each round the cut player moves on the witness graph, and the game
+    splits the move into halves: ``_halves`` of a balanced cut, or the rest
+    against the certified side in the final round.  The matcher is called
+    with the halves' host vertices (a_real, b_real) and returns either a
+    host cut (any object that is not a dict), which stops the game, or a
+    dict mapping the pairs (a, b) it routed to their host paths.  The game
+    completes the matching with fake edges (``_padded``), so that it covers
+    the A half and, in non-final rounds, the B half.
 
-    Odd hosts are padded with one dummy vertex (id = host.n) whose matches
-    are always fake.  Returns a GameResult or the matcher's host cut.
+    An odd host plays on one padding vertex more (id host.n), which the
+    matcher never sees; its matches are always fake.  Returns a GameResult
+    or the matcher's host cut.
     """
-    n_eff = host.n + (host.n % 2)
+    n = host.n
+    n_eff = n + (n % 2)
     witness = Witness(host, n_eff)
     trace: list[int] = []
     for rnd in range(1, round_cap + 1):
-        h_graph = witness.h_graph()
-        move = cut_player(h_graph)
+        move = cut_player(witness.h_graph())
         final = isinstance(move, CertifiedSubset)
         if final:
             b_half = sorted(move.side)
@@ -549,27 +560,27 @@ def cmg_drive(
                 raise InternalInvariantBroken("cut player move below n/4 sides")
             if move.crossing > max(1, n_eff // 100):
                 raise InternalInvariantBroken("cut player move above n/100 edges")
-            small, big = sorted(
-                (sorted(move.a_side), sorted(move.b_side)), key=len
-            )
-            need = n_eff // 2 - len(small)
-            a_half = small + big[:need]
-            b_half = big[need:]
-        answer = matcher(a_half, b_half, rnd, final)
-        if not isinstance(answer, dict):
-            return answer  # the matcher surfaced a host cut
-        _check_matching(a_half, b_half, answer, final)
-        witness.add_round(list(answer.keys()), answer)
-        trace.append(len(answer))
+            a_half, b_half = _halves(move.a_side, move.b_side, n_eff)
+        a_real, b_real = a_half, b_half
+        if n % 2:  # hide the padding vertex from the matcher
+            a_real = [v for v in a_half if v < n]
+            b_real = [v for v in b_half if v < n]
+        # A final A half may be the padding vertex alone: nothing to route.
+        routed = matcher(a_real, b_real) if a_real else {}
+        if not isinstance(routed, dict):
+            return routed  # the matcher surfaced a host cut
+        pairs = _padded(a_half, b_half, routed)
+        _check_matching(a_half, b_half, pairs, final)
+        witness.add_round(pairs, routed)
+        trace.append(len(pairs))
         if final:
-            side = frozenset(move.side)
-            return GameResult(witness, CertifiedSubset(side, move.psi, move.detail), rnd)
+            return GameResult(witness, move, rnd)
     raise RoundCapExceeded(f"game exceeded {round_cap} rounds", trace)
 
 
-def _check_matching(a_half, b_half, answer, final):
-    a_used = [a for a, _ in answer]
-    b_used = [b for _, b in answer]
+def _check_matching(a_half, b_half, pairs, final):
+    a_used = [a for a, _ in pairs]
+    b_used = [b for _, b in pairs]
     if len(set(a_used)) != len(a_used) or len(set(b_used)) != len(b_used):
         raise InternalInvariantBroken("matcher repeated an endpoint")
     if set(a_used) != set(a_half) or not set(b_used) <= set(b_half):

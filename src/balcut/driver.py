@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cutmatch import (
     C_CMG,
@@ -29,6 +30,7 @@ from .errors import (
     InternalInvariantBroken,
     InvalidInput,
     InvalidParam,
+    PreconditionViolated,
 )
 from .graph import (
     Cut,
@@ -51,7 +53,7 @@ from .localflow import PairRouting, route_or_cut_1pair
 from .pruning import expander_prune
 from .reduce import lift_cut, make_canonical, project_cut, reduce_degree
 from .routing import log2ceil
-from .spectral import certified_floor, cheeger_floor
+from .spectral import _start_vector, adjacency_matrix, certified_floor, cheeger_floor
 
 C_HAT = 4  # the "large constant" of the high-sparsity driver
 
@@ -84,41 +86,22 @@ def iterations_final_cut(
     if g.n < 2:
         raise InvalidInput("the game needs at least two host vertices")
     psi = Fraction(psi)
-    n = g.n
-    n_eff = n + (n % 2)
-    host_m = max(g.m, 1)
+    early = 4 * g.m if g.m > 2000 else None
 
     def cut_player(h: MultiGraph):
         return cut_or_certify(h, r)
 
-    def matcher(a_half: list[int], b_half: list[int], rnd: int, final: bool):
-        a_real, b_real = a_half, b_half
-        if n % 2:  # only an odd host pads its halves, with vertex n
-            a_real = [v for v in a_half if v < n]
-            b_real = [v for v in b_half if v < n]
-        matched: dict[tuple[int, int], list[int] | None] = {}
-        pair_of: dict[int, int] = {}
-        if a_real and b_real:
-            swap = len(a_real) > len(b_real)
-            src, dst = (b_real, a_real) if swap else (a_real, b_real)
-            res = route_or_cut_1pair(
-                g, src, dst, z, psi,
-                early_check_interval=4 * host_m if g.m > 2000 else None,
-            )
-            if not isinstance(res, PairRouting):
-                return res  # a host cut stops the game
-            for (u, v), path in zip(res.matching, res.paths):
-                a, b = (v, u) if swap else (u, v)
-                matched[(a, b)] = list(reversed(path)) if swap else path
-                pair_of[a] = b
-        left_a = [v for v in a_half if v not in pair_of]
-        used_b = {b for _, b in matched}
-        left_b = [v for v in b_half if v not in used_b]
-        for a, b in zip(left_a, left_b):
-            matched[(a, b)] = None  # fake edge
-        return matched
+    def matcher(a_real: list[int], b_real: list[int]):
+        swap = len(a_real) > len(b_real)
+        src, dst = (b_real, a_real) if swap else (a_real, b_real)
+        res = route_or_cut_1pair(g, src, dst, z, psi, early_check_interval=early)
+        if not isinstance(res, PairRouting):
+            return res  # a host cut stops the game
+        if not swap:
+            return dict(zip(res.matching, res.paths))
+        return {(v, u): path[::-1] for (u, v), path in zip(res.matching, res.paths)}
 
-    round_cap = max(2, math.ceil(C_CMG * math.log2(n_eff)))
+    round_cap = max(2, math.ceil(C_CMG * math.log2(g.n + g.n % 2)))
     outcome = cmg_drive(g, cut_player, matcher, round_cap)
     if isinstance(outcome, GameResult):
         witness = outcome.witness
@@ -298,9 +281,7 @@ def _witness_case(g, red, members, wr: WitnessResult, phi, report):
     # members to hat vertices, then to original clusters.  Fake edges whose
     # endpoints contract into one vertex become self-loops and vanish.
     fake_pairs = []
-    for hu, hv in wr.witness.fake_edges:
-        if hu >= len(members) or hv >= len(members):
-            continue  # dummy-padding edge of an odd host
+    for hu, hv in wr.witness.host_fake_edges:
         cu, cv = cluster[hu], cluster[hv]
         if cu != cv:
             fake_pairs.append((back[cu], back[cv]))
@@ -312,7 +293,7 @@ def _witness_case(g, red, members, wr: WitnessResult, phi, report):
     if fake_ids and phi_gpp > 0:
         try:
             _, b_local = expander_prune(contracted, phi_gpp, fake_ids)
-        except (BudgetExceeded, InternalInvariantBroken) as exc:
+        except (BudgetExceeded, InternalInvariantBroken, PreconditionViolated) as exc:
             report["notes"].append(f"fake-edge pruning unavailable: {exc}")
     # expander_prune never returns an empty A, so a_orig is nonempty.
     a_orig = frozenset(idx_g[v] for v in range(sub_g.n)) - frozenset(
@@ -564,10 +545,6 @@ def _fiedler_sweep_cut(g: MultiGraph, objective: str) -> Cut | None:
     The ordering comes from 200 steps of power iteration on 2I - L from the
     fixed start vector, deflated against the kernel vector D^{1/2} 1.
     """
-    import scipy.sparse as sp
-
-    from .spectral import adjacency_matrix, _start_vector
-
     if g.n < 3:
         return None
     deg = g.deg.astype(np.float64)

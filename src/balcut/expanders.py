@@ -16,7 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CompositionError, DegreeTooHigh, InvalidParam
-from .graph import MultiGraph
+from .graph import ORACLE_LIMIT, MultiGraph, brute_force_extremum
+from .spectral import lambda2_normalized
 
 #: Degree bound for every constructed expander.
 MAX_EXPANDER_DEGREE = 9
@@ -78,9 +79,6 @@ def expander_sparsity_floor(n: int) -> Fraction:
     lambda2/2 (which lower-bounds conductance and hence sparsity), shaved
     by a numerical safety margin and rounded down to a fraction.
     """
-    from .graph import ORACLE_LIMIT, brute_force_extremum
-    from .spectral import lambda2_normalized
-
     if n < 2:
         return Fraction(1)  # vacuous: no proper cuts exist
     h = construct_expander(n)

@@ -10,7 +10,6 @@ by integer cross-multiplication, never through floats.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -434,34 +433,6 @@ def is_connected(g: MultiGraph) -> bool:
     return g.n <= 1 or component_labels(g)[0] == 1
 
 
-def bfs_levels(g: MultiGraph, sources: Sequence[int], depth_cap: int | None = None,
-               alive_edge=None) -> list[float]:
-    """Multi-source BFS distances; unreachable (or beyond cap) vertices get inf.
-
-    ``alive_edge`` may be a boolean sequence indexed by edge id restricting
-    the traversal to live edges.
-    """
-    INF = float("inf")
-    level: list[float] = [INF] * g.n
-    queue = deque()
-    for s in sources:
-        if level[s] == INF:
-            level[s] = 0
-            queue.append(s)
-    while queue:
-        v = queue.popleft()
-        lv = level[v]
-        if depth_cap is not None and lv >= depth_cap:
-            continue
-        for eid, w in g.neighbors(v):
-            if alive_edge is not None and not alive_edge[eid]:
-                continue
-            if level[w] == INF:
-                level[w] = lv + 1
-                queue.append(w)
-    return level
-
-
 def _enumerate_cut_tables(g: MultiGraph):
     """Vectorized delta/volume tables for all proper cuts containing vertex 0.
 
@@ -535,27 +506,29 @@ def brute_force_extremum(g: MultiGraph, objective: str) -> tuple[Cut, Fraction]:
     return cut, value
 
 
-def find_bridges(g: MultiGraph) -> list[tuple[int, int, int]]:
-    """All bridge edges via iterative lowpoint DFS.
+def find_bridges(g: MultiGraph) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """All bridge edges via iterative lowpoint DFS, and the DFS preorder.
 
-    Returns (edge id, child endpoint, child-side subtree size) triples;
-    parallel edges are never bridges.  Deterministic: DFS follows adjacency
-    order from vertex 0 upward.
+    Returns (bridges, order): (edge id, child endpoint, child-side subtree
+    size) triples, and the vertices in preorder.  A DFS subtree is
+    contiguous in preorder, so a bridge's child side is ``order[i:i +
+    size]``, i the child's position.  Parallel edges are never bridges.
+    Deterministic: DFS follows adjacency order from vertex 0 upward.
     """
     n = g.n
-    disc = [-1] * n
+    disc = [-1] * n  # preorder positions
     low = [0] * n
     sub = [1] * n
     out: list[tuple[int, int, int]] = []
-    timer = 0
+    order: list[int] = []
     indptr, inc, nbr = g.slots
     for root in range(n):
         if disc[root] != -1:
             continue
         # frame: [vertex, parent edge id, slot iterator, parent skipped?]
         stack = [[root, -1, iter(range(indptr[root], indptr[root + 1])), False]]
-        disc[root] = low[root] = timer
-        timer += 1
+        disc[root] = low[root] = len(order)
+        order.append(root)
         while stack:
             frame = stack[-1]
             v, pedge, it = frame[0], frame[1], frame[2]
@@ -566,8 +539,8 @@ def find_bridges(g: MultiGraph) -> list[tuple[int, int, int]]:
                     frame[3] = True  # the tree edge itself, skipped once
                     continue
                 if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
+                    disc[w] = low[w] = len(order)
+                    order.append(w)
                     stack.append([w, eid, iter(range(indptr[w], indptr[w + 1])), False])
                     advanced = True
                     break
@@ -580,21 +553,7 @@ def find_bridges(g: MultiGraph) -> list[tuple[int, int, int]]:
                     sub[u] += sub[v]
                     if low[v] > disc[u]:
                         out.append((pedge, v, sub[v]))
-    return out
-
-
-def subtree_side(g: MultiGraph, bridge_eid: int, child: int) -> frozenset[int]:
-    """The child-side component after removing one bridge edge."""
-    seen = {child}
-    stack = [child]
-    while stack:
-        v = stack.pop()
-        for eid, w in g.neighbors(v):
-            if eid == bridge_eid or w in seen:
-                continue
-            seen.add(w)
-            stack.append(w)
-    return frozenset(seen)
+    return out, order
 
 
 def path_congestion(g: MultiGraph, paths) -> int:

@@ -29,8 +29,8 @@ from .estree import ESTree
 from .graph import (
     Cut,
     MultiGraph,
-    bfs_levels,
     cut_stats,
+    incidence_csr,
     masked_subgraph,
     path_congestion,
     threshold_cut_counts,
@@ -183,13 +183,13 @@ def ball_grow_cut(h: MultiGraph, s_set, t_set, ell: int) -> frozenset[int]:
     t_set = frozenset(t_set)
     if not s_set or not t_set:
         raise InvalidInput("ball growing needs nonempty sets")
-    dist = bfs_levels(h, sorted(s_set))
+    dist = _hop_distances(h, s_set)
     if any(dist[t] <= ell for t in t_set):
         raise PreconditionViolated("an S-T path of length <= ell exists")
     n = h.n
     delta = max(h.max_degree(), 1)
     bound_num = 8 * delta * log2ceil(n)  # bound = bound_num / ell per vertex
-    sides = [_balls(h, dist), _balls(h, bfs_levels(h, sorted(t_set)))]
+    sides = [_balls(h, dist), _balls(h, _hop_distances(h, t_set))]
     # Ball j of a side is {dist <= j}, up to the radius where it stabilizes
     # (its component ball).  The growth argument guarantees a qualifying
     # radius below ceil(ell/4); every radius is checked, and the sparsest
@@ -206,12 +206,21 @@ def ball_grow_cut(h: MultiGraph, s_set, t_set, ell: int) -> frozenset[int]:
     return frozenset(np.flatnonzero(sides[rank][0] <= j).tolist())
 
 
-def _balls(h: MultiGraph, dist: list[float]) -> tuple[np.ndarray, list[int], list[int]]:
-    """(key, sizes, crossings) of BFS distances: ``key`` holds them as
+def _hop_distances(h: MultiGraph, sources) -> np.ndarray:
+    """Hop distances from the nearest source (inf if unreachable), from
+    scipy's unweighted search; they are exact integers held as floats."""
+    # Imported on first use: csgraph pulls in scipy.sparse.linalg.
+    from scipy.sparse.csgraph import dijkstra
+
+    return dijkstra(incidence_csr(h), indices=sorted(sources), unweighted=True,
+                    min_only=True)
+
+
+def _balls(h: MultiGraph, d: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
+    """(key, sizes, crossings) of hop distances: ``key`` holds them as
     integers with unreachable vertices at e + 1, e the largest finite one;
     ``sizes[j]`` and ``crossings[j]`` count the vertices and crossing edges
     of the ball {key <= j}, j = 0 .. e, and ``sizes[e + 1] = sizes[e]``."""
-    d = np.array(dist)
     finite = np.isfinite(d)
     top = int(d[finite].max()) + 1
     key = np.where(finite, d, top).astype(np.int64)

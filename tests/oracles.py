@@ -1,9 +1,11 @@
-"""Brute-force oracles and certificate helpers shared by the tests.
+"""Brute-force oracles, certificate helpers and a plain BFS shared by the
+tests.
 
 The package's drivers reach the oracle through ``brute_force_extremum``
 and ``certified_floor``; these thin wrappers exist only for the checks.
 """
 
+from collections import deque
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -32,3 +34,34 @@ def pruned_subgraph(
     keep[list(a_side)] = True
     sub, verts = masked_subgraph(g, keep, alive)
     return sub, verts.tolist()
+
+
+def bfs_levels(g: MultiGraph, sources: Sequence[int], depth_cap: int | None = None,
+               alive_edge=None) -> list[float]:
+    """Multi-source BFS distances; unreachable (or beyond cap) vertices get inf.
+
+    The plain-Python reference that the ES-tree and ball-growing checks
+    compare against.
+
+    ``alive_edge`` may be a boolean sequence indexed by edge id restricting
+    the traversal to live edges.
+    """
+    INF = float("inf")
+    level: list[float] = [INF] * g.n
+    queue = deque()
+    for s in sources:
+        if level[s] == INF:
+            level[s] = 0
+            queue.append(s)
+    while queue:
+        v = queue.popleft()
+        lv = level[v]
+        if depth_cap is not None and lv >= depth_cap:
+            continue
+        for eid, w in g.neighbors(v):
+            if alive_edge is not None and not alive_edge[eid]:
+                continue
+            if level[w] == INF:
+                level[w] = lv + 1
+                queue.append(w)
+    return level

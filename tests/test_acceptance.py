@@ -43,7 +43,6 @@ from balcut.generators import (
 from balcut.graph import (
     Cut,
     MultiGraph,
-    bfs_levels,
     brute_force_extremum,
     cut_edge_count,
     induced_subgraph,
@@ -59,7 +58,7 @@ from balcut.localflow import (
 from balcut.pruning import expander_prune
 from balcut.routing import PairFamily, PartialRouting, log2ceil, route_or_cut
 from balcut.spectral import adjacency_matrix, lambda2_normalized
-from oracles import graph_conductance, graph_sparsity, pruned_subgraph
+from oracles import bfs_levels, graph_conductance, graph_sparsity, pruned_subgraph
 
 
 def _stamp(name: str, t0: float, budget: float, extra: str = "") -> None:

@@ -17,17 +17,20 @@ from balcut.cutmatch import (
     walk_potential,
 )
 from balcut.errors import (
+    DiagnosticFailure,
     DiagnosticTooLarge,
     InvalidInput,
     InvalidParam,
+    PreconditionViolated,
     RoundCapExceeded,
 )
 from balcut.expanders import construct_expander
-from balcut.generators import cycle_graph, random_regularish_graph
+from balcut.generators import complete_graph, cycle_graph, random_regularish_graph
 from balcut.graph import (
     MultiGraph,
     connected_components,
     cut_edge_count,
+    cut_stats,
     induced_subgraph,
 )
 from balcut.spectral import certified_floor
@@ -197,6 +200,50 @@ def test_base_step_routes_then_extracts(monkeypatch):
     assert res.side == frozenset(range(200))
 
 
+def _routing_stub(monkeypatch, outcome):
+    """Replace the multi-pair router by one that records each ell and
+    answers with ``outcome``: an exception class to raise, or a cut."""
+    ells = []
+
+    def stub(host, fam, z, ell):
+        ells.append(ell)
+        if isinstance(outcome, type):
+            raise outcome("stub")
+        return outcome
+
+    monkeypatch.setattr(cutmatch, "route_or_cut", stub)
+    return ells
+
+
+_STOP_HOST = cycle_graph(20)
+_STOP_CUT = cut_stats(_STOP_HOST, range(12))  # 2 crossing edges
+_STOP_CASES = [
+    (DiagnosticFailure, 2, None),  # a stuck router
+    (_STOP_CUT, 1, None),  # a host cut over the budget
+    (_STOP_CUT, 2, (frozenset(range(12, 20)), 2)),  # within it: its small side
+]
+
+
+@pytest.mark.parametrize("outcome, budget, want", _STOP_CASES)
+def test_base_step_stop_protocol(monkeypatch, outcome, budget, want):
+    # A stuck attempt moves on to the next ell, and the ladder runs out
+    # after ELL_ATTEMPTS of them; a cut within the budget is the answer.
+    ells = _routing_stub(monkeypatch, outcome)
+    ladder = list(cutmatch._ell_ladder(_STOP_HOST.n))
+    assert len(ladder) == cutmatch.ELL_ATTEMPTS
+    assert cutmatch._base_step(_STOP_HOST, budget) == want
+    assert ells == (ladder if want is None else ladder[:1])
+
+
+@pytest.mark.parametrize("outcome, budget, want", _STOP_CASES)
+def test_rec_attempt_stop_protocol(monkeypatch, outcome, budget, want):
+    # The first round of the two block games ends the attempt.
+    ells = _routing_stub(monkeypatch, outcome)
+    blocks = [list(range(10)), list(range(10, 20))]
+    assert cutmatch._rec_attempt(_STOP_HOST, 1, blocks, [], 1, 7, budget) == want
+    assert ells == [7]
+
+
 def test_stuck_remainder_runs_lanczos_once_per_call(monkeypatch):
     """The fallback certificate reuses the floor the spectral gate measured
     on the same remainder; nothing is kept between calls."""
@@ -249,24 +296,33 @@ def test_extract_expander_with_one_fake():
         assert graph_conductance(sub) >= cert
 
 
+def test_try_extract_declines_a_pruning_precondition_failure():
+    # K13 with the edge (13, 14) hung off vertex 0, and three fake edges:
+    # at psi = 13/4 the pruning runs at phi = psi / Delta = 1/4 on a host of
+    # conductance 21/41 and still raises, and extraction declines.
+    g = MultiGraph(15, list(complete_graph(13).edges) + [(13, 14), (0, 13)])
+    w = Witness(g, g.n)
+    w.add_round([(13, 1), (14, 2)], {})
+    w.add_round([(13, 3)], {})
+    with pytest.raises(PreconditionViolated):
+        extract_expander(g, w, Fraction(13, 4))
+    assert cutmatch._try_extract(g, w, Fraction(13, 4)) is None
+
+
 # ---------------------------------------------------------------------------
 # the game driver
 # ---------------------------------------------------------------------------
 
 
 def perfect_matcher(g):
-    """A toy matcher that pairs the halves by index (all fake-free only
-    when the host is complete; otherwise pads with fakes)."""
+    """A toy matcher that routes the halves' index-aligned pairs that are
+    host edges (all of them only when the host is complete); the game pads
+    the rest with fake edges."""
     adjacency = {frozenset(e) for e in g.edges}
 
-    def matcher(a_half, b_half, rnd, final):
-        out = {}
-        for a, b in zip(a_half, b_half):
-            if frozenset((a, b)) in adjacency:
-                out[(a, b)] = [a, b]
-            else:
-                out[(a, b)] = None
-        return out
+    def matcher(a_real, b_real):
+        return {(a, b): [a, b] for a, b in zip(a_real, b_real)
+                if frozenset((a, b)) in adjacency}
 
     return matcher
 
@@ -294,6 +350,71 @@ def test_cmg_drive_round_cap():
     with pytest.raises(RoundCapExceeded) as exc:
         cmg_drive(g, lambda h: cut_or_certify(h, 1), perfect_matcher(g), 1)
     assert isinstance(exc.value.trace, list)
+
+
+def test_odd_host_game_hides_the_padding_vertex(monkeypatch):
+    # K7 plays on 8 vertices, 7 the padding vertex.  Every index-aligned
+    # pair of real vertices is a host edge, so the only fake edges are the
+    # padding vertex's, one per round that it is matched in.
+    g = complete_graph(7)
+    seen, padded = [], []
+    routed = perfect_matcher(g)
+
+    def matcher(a_real, b_real):
+        seen.extend(a_real + b_real)
+        return routed(a_real, b_real)
+
+    real_padded = cutmatch._padded
+
+    def padded_spy(a_ids, b_ids, matched):
+        padded.append((a_ids, real_padded(a_ids, b_ids, matched)))
+        return padded[-1][1]
+
+    monkeypatch.setattr(cutmatch, "_padded", padded_spy)
+    res = cmg_drive(g, lambda h: cut_or_certify(h, 1), matcher, 10)
+    assert isinstance(res, GameResult)
+    w = res.witness
+    assert seen and max(seen) < g.n
+    assert [pairs for _, pairs in padded] == w.rounds
+    for a_ids, pairs in padded:
+        assert sorted(u for u, _ in pairs) == sorted(a_ids)
+    assert w.host_fake_edges == []
+    assert w.fake_edges and all(g.n in e for e in w.fake_edges)
+    assert len(w.fake_edges) == sum(any(g.n in e for e in rnd) for rnd in w.rounds)
+
+
+def _old_game_halves(a_side, b_side, n):
+    """cmg_drive's halving rule, as it was written there."""
+    small, big = sorted((sorted(a_side), sorted(b_side)), key=len)
+    need = n // 2 - len(small)
+    return small + big[:need], big[need:]
+
+
+def _old_block_halves(a_side, b_side):
+    """_rec_attempt's halving rule, as it was written there."""
+    a, b = sorted(a_side), sorted(b_side)
+    if len(a) > len(b):
+        a, b = b, a
+    while len(a) < len(b):
+        a.append(b.pop(0))
+    return a, b
+
+
+def test_halves_match_both_old_rules():
+    rng = random.Random(3)
+    ties = 0
+    for trial in range(300):
+        n = 2 * rng.randint(2, 20)
+        quarter = -(-n // 4)
+        k = n // 2 if trial % 3 == 0 else rng.randint(quarter, n - quarter)
+        ties += 2 * k == n
+        a_side = frozenset(rng.sample(range(n), k))
+        b_side = frozenset(range(n)) - a_side
+        got = cutmatch._halves(a_side, b_side, n)
+        assert got == _old_game_halves(a_side, b_side, n)
+        assert got == _old_block_halves(a_side, b_side)
+        assert len(got[0]) == len(got[1]) == n // 2
+    assert ties >= 100
 
 
 def test_walk_potential_basics():

@@ -405,13 +405,14 @@ _K13_TRIANGLE = MultiGraph(
 _TRIANGLE_FAKES = [(13, 1), (14, 2), (13, 3)]
 
 
-def _injected_game(psi_witness, games):
-    """A first game that ends in a witness with four fake edges: the three
-    of _TRIANGLE_FAKES, and one joining two hat vertices of vertex 4's
-    cluster, which vanishes when clusters contract.  Later games run."""
+def _injected_game(psi_witness, games, host=_K13_TRIANGLE):
+    """A first game on ``host``'s reduced graph that ends in a witness with
+    four fake edges: the three of _TRIANGLE_FAKES, and one joining two hat
+    vertices of vertex 4's cluster, which vanishes when clusters contract.
+    Later games run."""
     from balcut.cutmatch import Witness
 
-    first = _K13_TRIANGLE.indptr  # v's first hat vertex: its first slot
+    first = host.indptr  # v's first hat vertex: its first slot
     real_game = iterations_final_cut
 
     def game(sub, psi, z, r):
@@ -491,6 +492,33 @@ def test_witness_case_notes_a_fake_edge_budget_overrun(monkeypatch):
     assert games == [_K13_TRIANGLE.volume(), _K13_TRIANGLE.volume(range(13))]
     assert (res.branch, res.b_side, res.cut_edges) == ("pruned", frozenset({13, 14, 15}), 1)
     check_bcp(_K13_TRIANGLE, phi, res)
+
+
+# K13 with the edge (13, 14) hung off vertex 0.  With _TRIANGLE_FAKES the
+# contracted graph has conductance 21/41, above the pruning phi of 1/4, yet
+# expander_prune's trimming leaves excess that no level cut explains.
+_K13_K2 = MultiGraph(15, list(complete_graph(13).edges) + [(13, 14), (0, 13)])
+
+
+def test_witness_case_notes_a_pruning_precondition_failure(monkeypatch):
+    # The note names the failure, nothing is pruned, and the oracle's
+    # correction peels the pendant edge; the next game certifies K13.
+    from balcut import driver
+    from balcut.graph import with_edges
+
+    assert graph_conductance(with_edges(_K13_K2, _TRIANGLE_FAKES)) == Fraction(21, 41)
+    games = []
+    monkeypatch.setattr(driver, "iterations_final_cut",
+                        _injected_game(Fraction(1, 4), games, _K13_K2))
+    phi = Fraction(1, 2)
+    res = bal_cut_prune(_K13_K2, phi, 1)
+    [note] = res.report["notes"]
+    assert note.startswith("fake-edge pruning unavailable: trimming left excess 5 ")
+    assert res.report["corrections"] == 1
+    assert games == [_K13_K2.volume(), _K13_K2.volume(range(13))]
+    assert (res.branch, res.b_side, res.cut_edges) == ("pruned", frozenset({13, 14}), 1)
+    assert res.certified_phi == Fraction(7, 12)
+    check_bcp(_K13_K2, phi, res)
 
 
 def test_bal_cut_prune_peels_the_smallest_component(monkeypatch):

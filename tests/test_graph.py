@@ -541,10 +541,14 @@ def test_components_and_bridges_match_networkx(n, seed, attach):
     want = sorted(sorted(c) for c in nx.connected_components(h))
     assert connected_components(g) == want
     assert is_connected(g) == nx.is_connected(h) == (attach == 1.0)
-    bridges = find_bridges(g)
+    bridges, order = find_bridges(g)
+    assert sorted(order) == list(range(n))
     got = {frozenset(g.edges[eid]) for eid, _, _ in bridges}
     assert got == {frozenset(e) for e in nx.bridges(h) if e[0] != e[1]}
     for eid, child, size in bridges:
         h.remove_edge(*g.edges[eid])
-        assert size == len(nx.node_connected_component(h, child))
+        side = nx.node_connected_component(h, child)
+        assert size == len(side)
+        i = order.index(child)
+        assert set(order[i:i + size]) == side
         h.add_edge(*g.edges[eid])

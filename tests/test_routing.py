@@ -256,7 +256,8 @@ def _ball_grow_cut_reference(h, s_set, t_set, ell):
     """``ball_grow_cut`` as it was: every radius's ball grown as a Python
     set and its crossing edges recounted."""
     from balcut.errors import DiagnosticFailure
-    from balcut.graph import bfs_levels, cut_edge_count
+    from balcut.graph import cut_edge_count
+    from oracles import bfs_levels
 
     if ell <= 1:
         raise InvalidInput("ball growing needs ell > 1")
