@@ -53,7 +53,13 @@ from .localflow import PairRouting, route_or_cut_1pair
 from .pruning import expander_prune
 from .reduce import lift_cut, make_canonical, project_cut, reduce_degree
 from .routing import log2ceil
-from .spectral import _start_vector, adjacency_matrix, certified_floor, cheeger_floor
+from .spectral import (
+    _floor_reaching,
+    _start_vector,
+    adjacency_matrix,
+    certified_floor,
+    cheeger_floor,
+)
 
 C_HAT = 4  # the "large constant" of the high-sparsity driver
 
@@ -198,8 +204,8 @@ def bal_cut_prune(g: MultiGraph, phi, r: int) -> BalCutPruneResult:
         return _finish(g, a, b, phi, inner.certified_phi, report)
 
     # Fast path: the whole graph already certifies at phi.
-    cert = certified_floor(g, "conductance")
-    if cert >= phi:
+    cert = _floor_reaching(g, phi)
+    if cert is not None:
         report["notes"].append("input certified at phi without cutting")
         return BalCutPruneResult(
             frozenset(range(g.n)), frozenset(), 0, "pruned", cert, Fraction(0),

@@ -69,8 +69,12 @@ class MultiGraph:
         # Sorting the distinct keys end * 2m + slot orders the slots stably
         # by endpoint: one stable argsort of the interleaved endpoints
         # (n * 2m stays below 2^63 for any graph that fits in memory).
-        slots = np.sort(ends * span + np.arange(span)) % max(span, 1)
+        # Taking each owner's end * 2m off again leaves the slots.
+        slots = ends * span
+        slots += np.arange(span)
+        slots.sort()
         deg = np.bincount(ends, minlength=n)
+        slots -= np.repeat(np.arange(n) * span, deg)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(deg, out=indptr[1:])
         self.n = n
@@ -429,8 +433,23 @@ def connected_components(g: MultiGraph) -> list[list[int]]:
 
 
 def is_connected(g: MultiGraph) -> bool:
-    """True iff the graph has a single connected component."""
-    return g.n <= 1 or component_labels(g)[0] == 1
+    """True iff the graph has a single connected component.
+
+    One BFS from vertex 0 answers for a connected graph, and caches its
+    labelling (all zeros, in the int32 of scipy's labelling); only a
+    disconnected graph goes on to the labelling."""
+    if g.n <= 1:
+        return True
+    if g._components is None and g.m:
+        from scipy.sparse.csgraph import breadth_first_order
+
+        reached = breadth_first_order(incidence_csr(g), 0, directed=True,
+                                      return_predecessors=False)
+        if len(reached) == g.n:
+            label = np.zeros(g.n, dtype=np.int32)
+            label.flags.writeable = False
+            g._components = 1, label
+    return component_labels(g)[0] == 1
 
 
 def _enumerate_cut_tables(g: MultiGraph):

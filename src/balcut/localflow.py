@@ -731,7 +731,7 @@ class _Pulses:
         if self.alive is not None:
             w = np.where(self.alive[eid], w, owner)  # a dead slot is inert
         self.ok = w != owner  # a self-loop or a dead slot never is
-        self.sgn = np.where(g.eu[eid] == owner, np.int8(1), np.int8(-1))
+        self.sgn = (g.eu[eid] == owner).view(np.int8) * 2 - 1
         self.eid, self.w = eid.astype(np.int32), w.astype(np.int32)
         self.res = self.cap - self.flow[eid] * self.sgn
         self.lw = np.empty(len(slot), dtype=np.int64)

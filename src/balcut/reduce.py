@@ -62,21 +62,25 @@ def reduce_degree(g: MultiGraph) -> ReducedGraph:
     pos[slot] = np.arange(total)
 
     # Type-1 edges: each vertex's cluster expander shifted by indptr[v], in
-    # vertex order, read from one table of every degree's expander edges.
+    # vertex order; one broadcast writes the clusters of each size.
     sizes = _distinct(deg[deg > 0])
     inners = [construct_expander(d) for d in sizes.tolist()]
-    table_u = np.concatenate([h.eu for h in inners])
-    table_v = np.concatenate([h.ev for h in inners])
     inner_m = np.zeros(int(deg.max()) + 1, dtype=np.int64)
     inner_m[sizes] = [h.m for h in inners]
-    inner_at = np.zeros_like(inner_m)  # first table row of each degree
-    inner_at[sizes] = np.cumsum(inner_m[sizes]) - inner_m[sizes]
     count = inner_m[deg]
-    vertex = np.repeat(np.arange(g.n), count)
-    row = inner_at[deg[vertex]] + np.arange(len(vertex)) - (np.cumsum(count) - count)[vertex]
-    shift = indptr[vertex]
-    hat_u = np.concatenate([table_u[row] + shift, pos[0::2]])
-    hat_v = np.concatenate([table_v[row] + shift, pos[1::2]])
+    at = np.cumsum(count) - count  # each vertex's first type-1 edge
+    type1 = int(at[-1] + count[-1])
+    hat_u = np.empty(type1 + g.m, dtype=np.int64)
+    hat_v = np.empty_like(hat_u)
+    by_deg = np.argsort(deg, kind="stable")
+    groups = np.split(by_deg, np.searchsorted(deg[by_deg], sizes))[1:]
+    for verts, h in zip(groups, inners):
+        rows = (at[verts, None] + np.arange(h.m)).ravel()
+        shift = indptr[verts, None]
+        hat_u[rows] = (shift + h.eu).ravel()
+        hat_v[rows] = (shift + h.ev).ravel()
+    hat_u[type1:] = pos[0::2]
+    hat_v[type1:] = pos[1::2]
 
     hat_g = MultiGraph._from_arrays(total, hat_u, hat_v)
     assert hat_g.n == 2 * g.m

@@ -16,7 +16,8 @@ for every cut U, the same value lower-bounds graph sparsity.
 ``cheeger_floor`` is the one rounding policy: lambda2/2 rounded down to a
 multiple of 2^-30, as a ``Fraction``.  ``certified_floor`` is the one
 certificate helper: exact brute force up to the oracle limit, the Cheeger
-floor above it.
+floor above it.  A gate that only asks whether that floor reaches some phi
+stops Lanczos once a Ritz value shows it cannot (``_floor_reaching``).
 """
 
 from __future__ import annotations
@@ -63,10 +64,15 @@ def lambda2_normalized(g: MultiGraph) -> float:
     Returns 0.0 for disconnected graphs (lambda2 is genuinely 0 there) and
     for graphs with fewer than two vertices.
     """
+    return _lanczos(g, -math.inf)
+
+
+def _lanczos(g: MultiGraph, quit_below: float) -> float:
+    """``lambda2_normalized(g)``, or the first checked Ritz value that falls
+    below ``quit_below``."""
     n = g.n
     if n < 2 or g.m == 0 or not is_connected(g):
         return 0.0
-    from scipy.linalg import eigh_tridiagonal
     # scipy's BLAS only: numpy links a second OpenBLAS, and two thread pools thrash.
     from scipy.linalg.blas import daxpy, ddot, dscal
 
@@ -93,14 +99,36 @@ def lambda2_normalized(g: MultiGraph) -> float:
         beta = math.sqrt(ddot(w, w))
         last = beta < 1e-14 or k == steps - 1
         if last or k % 8 == 7:
-            evals, evecs = eigh_tridiagonal(
-                1.0 - np.array(alphas), np.array(betas),
-                select="i", select_range=(0, 0),
-            )
-            if last or beta * abs(float(evecs[-1, 0])) < LANCZOS_TOL:
-                return max(float(evals[0]), 0.0)
+            theta, s_k = _smallest_ritz(1.0 - np.array(alphas), np.array(betas))
+            if last or theta < quit_below or beta * abs(s_k) < LANCZOS_TOL:
+                return max(theta, 0.0)
         betas.append(beta)
         prev, q = q, dscal(1.0 / beta, w)
+
+
+def _smallest_ritz(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
+    """The smallest eigenvalue of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, and the last entry of its unit
+    eigenvector.  The LAPACK calls, 1 x 1 shortcut and error checks of
+    ``eigh_tridiagonal(d, e, select="i", select_range=(0, 0))``, without
+    its argument validation, so the same bits."""
+    if len(d) == 1:
+        return float(d[0]), 1.0
+    from scipy.linalg.lapack import dstebz, dstein
+
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        z, info = dstein(d, e, w[:m], iblock, isplit)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK's tridiagonal solver")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"tridiagonal eigensolver did not converge (info={info})")
+    return float(w[0]), float(z[-1, 0])
+
+
+def _half_floor(lam: float) -> Fraction:
+    """lam/2 rounded down to a multiple of 2^-30."""
+    return Fraction(max(int(lam / 2.0 * (1 << 30)), 0), 1 << 30)
 
 
 def cheeger_floor(g: MultiGraph) -> Fraction:
@@ -108,8 +136,23 @@ def cheeger_floor(g: MultiGraph) -> Fraction:
 
     A conductance (hence sparsity) lower bound for every cut of g.
     """
-    half = lambda2_normalized(g) / 2.0
-    return Fraction(max(int(half * (1 << 30)), 0), 1 << 30)
+    return _half_floor(lambda2_normalized(g))
+
+
+def _floor_reaching(g: MultiGraph, phi: Fraction) -> Fraction | None:
+    """``certified_floor(g, "conductance")`` if it is at least phi, else None.
+
+    Above the oracle limit, Lanczos quits at the first check whose smallest
+    Ritz value theta has theta/2 < phi - 2^-30.  That Ritz value never grows
+    with the step count (Cauchy interlacing), so the converged lambda2 is at
+    most theta and the floor falls short of phi; the margin of one rounding
+    step covers the eigensolver's error.
+    """
+    if g.n <= ORACLE_LIMIT:
+        cert = certified_floor(g, "conductance")
+    else:
+        cert = _half_floor(_lanczos(g, 2.0 * (float(phi) - 2.0 ** -30)))
+    return cert if cert >= phi else None
 
 
 def certified_floor(g: MultiGraph, objective: str) -> Fraction:

@@ -9,9 +9,11 @@ the input of the ``prune_batches`` benchmark workload; the two generator
 benchmarks build that graph and ``construct_expander(40000)``, the base of
 the ``certify_expander`` workload.  The cut player's peel runs on an
 edgeless 32,006-vertex graph, the round-0 witness of the first game of
-the ``decompose_planted`` workload.  The reduce layer's ``make_canonical``
-and ``project_cut`` run on the first matcher cut of that workload's
-degree-reduced graph (seed 1, 32,006 hat vertices).
+the ``decompose_planted`` workload; ``reduce_degree`` also runs on that
+workload's input (seed 1), the first of the op's three reductions.  The
+reduce layer's ``make_canonical`` and ``project_cut`` run on the first
+matcher cut of that workload's degree-reduced graph (seed 1, 32,006 hat
+vertices).
 """
 
 from fractions import Fraction
@@ -73,6 +75,12 @@ def test_cut_or_certify_edgeless_witness(benchmark):
 def test_reduce_degree(benchmark, graph):
     red = benchmark(reduce_degree, graph)
     assert red.hat_g.n == 2 * graph.m
+
+
+def test_reduce_degree_decompose_planted(benchmark):
+    g, _ = planted_expander_union([1000] * 4, 8, [(0, 1), (1, 2), (2, 3)], 1)
+    red = benchmark(reduce_degree, g)
+    assert red.hat_g.n == 32006
 
 
 @pytest.fixture(scope="module")

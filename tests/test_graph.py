@@ -26,6 +26,7 @@ from balcut.graph import (
     cut_edge_count,
     cut_stats,
     find_bridges,
+    incidence_csr,
     induced_subgraph,
     is_connected,
     masked_subgraph,
@@ -139,19 +140,60 @@ def test_is_connected_labels_a_graph_once(monkeypatch):
     import scipy.sparse.csgraph as csgraph
 
     calls = []
-    labels = csgraph.connected_components
+    for name in ("breadth_first_order", "connected_components"):
+        def counted(*args, _traverse=getattr(csgraph, name), **kwargs):
+            calls.append(1)
+            return _traverse(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return labels(*args, **kwargs)
-
-    monkeypatch.setattr(csgraph, "connected_components", counted)
+        monkeypatch.setattr(csgraph, name, counted)
     g = cycle_graph(7)
     assert is_connected(g) and is_connected(g)
     assert connected_components(g) == [list(range(7))]
     assert len(calls) == 1
     k, label = component_labels(g)
     assert not label.flags.writeable
+
+
+def _scipy_labelling(g):
+    """(k, label) of scipy's labelling, components renumbered by first vertex."""
+    if g.n == 0:
+        return 0, np.zeros(0, dtype=np.int64)
+    from scipy.sparse.csgraph import connected_components as labels
+
+    k, label = labels(incidence_csr(g), directed=False)
+    _, first = np.unique(label, return_index=True)
+    return k, np.argsort(np.argsort(first))[label]
+
+
+def _labelling_corpus():
+    for n in (0, 1, 2):
+        yield MultiGraph(n, [])
+    yield MultiGraph(1, [(0, 0)])
+    yield MultiGraph(2, [(0, 0), (1, 1)])
+    yield MultiGraph(2, [(0, 1), (0, 1), (1, 1)])
+    rng = random.Random(3)
+    for seed in range(40):
+        n = rng.randrange(3, 30)
+        tree = seed % 2 == 0  # half connected: a random tree underneath
+        edges = [(v, rng.randrange(v)) for v in range(1, n)] if tree else []
+        ends = range(n) if tree else range(n - 3)  # else the last 3 get no edge
+        edges += [(rng.choice(ends), rng.choice(ends)) for _ in range(rng.randrange(n))]
+        edges += edges[:rng.randrange(3)]  # parallel copies
+        edges += [(v, v) for v in rng.sample(range(n), 2)]  # loops, maybe alone
+        yield MultiGraph(n, edges)
+
+
+def test_is_connected_then_component_labels_match_scipy():
+    for g in _labelling_corpus():
+        connected = is_connected(g)
+        k, label = component_labels(g)
+        fresh = MultiGraph(g.n, g.edges)  # a copy that never met is_connected
+        k_fresh, label_fresh = component_labels(fresh)
+        k_ref, label_ref = _scipy_labelling(g)
+        assert connected == (k <= 1) and k == k_fresh == k_ref, g.edges
+        assert label.tolist() == label_fresh.tolist() == label_ref.tolist(), g.edges
+        assert label.dtype == label_fresh.dtype, g.edges
+        assert not label.flags.writeable
 
 
 def test_vertex_set_entry_points_reject_a_boolean_mask():

@@ -106,6 +106,52 @@ def test_reduced_graph_of_a_connected_multigraph_is_connected():
         assert is_connected(g) and is_connected(reduce_degree(g).hat_g)
 
 
+def _hat_edges_reference(g):
+    """(hat_u, hat_v) of the reduction as row arithmetic over one table of
+    every degree's expander edges: the per-edge-row indexing that the
+    per-size broadcast of ``reduce_degree`` replaced."""
+    deg, indptr = g.deg, g.indptr
+    total = int(indptr[-1])
+    owner = np.repeat(np.arange(g.n), deg)
+    slot = 2 * g.inc + (owner != g.eu[g.inc])
+    pos = np.empty(total, dtype=np.int64)
+    pos[slot] = np.arange(total)
+    sizes = np.unique(deg[deg > 0])
+    inners = [construct_expander(d) for d in sizes.tolist()]
+    table_u = np.concatenate([h.eu for h in inners])
+    table_v = np.concatenate([h.ev for h in inners])
+    inner_m = np.zeros(int(deg.max()) + 1, dtype=np.int64)
+    inner_m[sizes] = [h.m for h in inners]
+    inner_at = np.zeros_like(inner_m)
+    inner_at[sizes] = np.cumsum(inner_m[sizes]) - inner_m[sizes]
+    count = inner_m[deg]
+    vertex = np.repeat(np.arange(g.n), count)
+    row = inner_at[deg[vertex]] + np.arange(len(vertex)) - (np.cumsum(count) - count)[vertex]
+    shift = indptr[vertex]
+    return (np.concatenate([table_u[row] + shift, pos[0::2]]),
+            np.concatenate([table_v[row] + shift, pos[1::2]]))
+
+
+def test_reduce_degree_matches_the_row_arithmetic_reference():
+    rng = random.Random(11)
+    for seed in range(60):
+        n = rng.randint(4, 60)
+        core = n - 2  # n - 2 becomes a leaf, n - 1 stays isolated
+        edges = [(rng.randrange(v), v) for v in range(1, core)]
+        hub = rng.randrange(core)  # many distinct degrees: a hub
+        edges += [(hub, v) for v in rng.sample(range(core), rng.randint(0, core))
+                  if v != hub]
+        edges += [edges[rng.randrange(len(edges))] for _ in range(rng.randint(0, n))]
+        edges.append((rng.randrange(core), n - 2))
+        rng.shuffle(edges)
+        g = MultiGraph(n, edges)
+        assert 1 in g.deg and 0 in g.deg
+        hat_u, hat_v = _hat_edges_reference(g)
+        r = reduce_degree(g)
+        assert r.hat_g.eu.tolist() == hat_u.tolist(), seed
+        assert r.hat_g.ev.tolist() == hat_v.tolist(), seed
+
+
 def test_mask_api_rejects_wrong_shape_and_dtype():
     g = cycle_graph(4)
     r = reduce_degree(g)

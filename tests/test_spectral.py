@@ -7,11 +7,13 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from balcut.expanders import construct_expander, gabber_galil
+from balcut import spectral
 from balcut.generators import (
     barbell_graph,
     complete_graph,
     cycle_graph,
     path_graph,
+    planted_expander_union,
     random_connected_graph,
     star_graph,
 )
@@ -19,6 +21,8 @@ from balcut.graph import MultiGraph, brute_force_extremum
 from balcut.spectral import (
     LANCZOS_MAX_STEPS,
     LANCZOS_TOL,
+    _floor_reaching,
+    _smallest_ritz,
     _start_vector,
     adjacency_matrix,
     certified_floor,
@@ -217,3 +221,78 @@ def test_memory_is_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 40 * g.n * 8
+
+
+def _gate_corpus():
+    for blocks, degree, bridges, seed in (
+        ([60] * 3, 6, [(0, 1), (1, 2)], 1),
+        ([100] * 2, 8, [(0, 1)], 3),
+        ([40, 80, 120], 4, [(0, 1), (1, 2), (0, 2)], 5),
+    ):
+        yield planted_expander_union(blocks, degree, bridges, seed)[0]
+    for n in (8, 50, 400):
+        yield cycle_graph(n)
+    yield _grid(3, 5)
+    yield _grid(10, 30)
+    for k in (5, 12):
+        yield barbell_graph(k)
+    yield construct_expander(17)  # lambda2 = 1/2: the floor sits on phi = 1/4
+    yield construct_expander(300)
+
+
+def test_gate_decides_as_the_full_floor():
+    step = Fraction(1, 1 << 30)
+    for g in _gate_corpus():
+        floor = certified_floor(g, "conductance")
+        near = {floor - step, floor, floor + step, floor * 2, floor / 2}
+        for phi in near | {Fraction(1, 240), Fraction(1, 4), Fraction(1)}:
+            if 0 < phi <= 1:
+                assert _floor_reaching(g, phi) == (floor if floor >= phi else None), (g, phi)
+
+
+def test_gate_quits_after_two_checks_on_decompose_planted(monkeypatch):
+    g, _ = planted_expander_union([1000] * 4, 8, [(0, 1), (1, 2), (2, 3)], 1)
+    sizes = []
+
+    def spy(d, e):
+        sizes.append(len(d))
+        return _smallest_ritz(d, e)
+
+    monkeypatch.setattr(spectral, "_smallest_ritz", spy)
+    assert _floor_reaching(g, Fraction(1, 240)) is None
+    assert sizes == [8, 16]
+    sizes.clear()
+    assert certified_floor(g, "conductance") < Fraction(1, 240)
+    assert sizes[-1] > 16
+
+
+def _assert_same_bits(d, e):
+    evals, evecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    theta, s = _smallest_ritz(d, e)
+    assert np.float64(theta).tobytes() == evals[0].tobytes(), len(d)
+    assert np.float64(s).tobytes() == evecs[-1, 0].tobytes(), len(d)
+
+
+def test_lapack_ritz_matches_eigh_tridiagonal_on_random_tridiagonals():
+    rng = np.random.default_rng(5)
+    for n in [*range(1, 41), 63, 128, 257, 400]:
+        _assert_same_bits(rng.normal(size=n), rng.normal(size=n - 1))
+        # Lanczos-like: diagonal near 1, small off-diagonal, close eigenvalues
+        _assert_same_bits(1.0 - rng.uniform(-1, 1, n), rng.uniform(0, 0.5, n - 1))
+    _assert_same_bits(np.ones(6), np.zeros(5))  # fully split
+    _assert_same_bits(np.full(5, 2.0), np.ones(4))
+
+
+def test_lapack_ritz_matches_eigh_tridiagonal_on_lanczos_tridiagonals(monkeypatch):
+    captured = []
+
+    def spy(d, e):
+        captured.append((d.copy(), e.copy()))
+        return _smallest_ritz(d, e)
+
+    monkeypatch.setattr(spectral, "_smallest_ritz", spy)
+    for g in (construct_expander(300), _grid(20, 25), barbell_graph(12), cycle_graph(801)):
+        lambda2_normalized(g)
+    assert max(len(d) for d, _ in captured) == 400
+    for d, e in captured:
+        _assert_same_bits(d, e)
